@@ -4,10 +4,14 @@ The tree-walk interpreter of :mod:`repro.transactions.interpreter` is the
 semantics; this package is an *accelerator* for its read-only fragment:
 set formers, ``exists`` chains, guarded ``forall`` constraints, and
 aggregates compile to hash-join plans that answer in O(n + m) where the
-tree walk nests enumerations.  Everything observable — values, canonical
-enumeration order, ``_touch`` read sets, ``Budget`` enforcement, error
-messages — replicates the tree walk (DESIGN.md §7.6); anything the
-compiler cannot express falls back to it silently.
+tree walk nests enumerations.  Values, canonical enumeration order,
+``Budget`` enforcement and error classes replicate the tree walk; the
+``_touch`` read set follows one contract instead — the relations the plan
+names plus the owners of its parameters, a superset of the tree walk's
+reads bounded by the plan itself (:mod:`repro.algebra.executor`,
+DESIGN.md §7.6).  Anything the compiler cannot express, and any node with
+a predicate that could raise on the current column types, falls back to
+the tree walk silently.
 
 Enable via :meth:`repro.engine.Database.enable_planner`; inspect plans via
 :meth:`QueryPlanner.plan` / :meth:`Plan.explain`.

@@ -1,8 +1,9 @@
 """Compiler from the fluent fragment to relational-algebra form.
 
-The compilable fragment is deliberately narrow — it is the shape the tree
-walk's read-set (``_touch``) protocol can be replicated for *exactly*
-(DESIGN.md §7.6):
+The compilable fragment is deliberately narrow — every relation a compiled
+shape reads is *named* by a membership conjunct, so its read set is
+computable from the plan alone (the contract in
+:mod:`repro.algebra.executor`, DESIGN.md §7.6):
 
 * every bound variable is tuple-sorted and has exactly one membership
   conjunct ``member(v, R)`` over a bare :class:`RelConst` (its domain);
@@ -67,30 +68,12 @@ class Incompilable(Exception):
 @dataclass(frozen=True)
 class Level:
     """One membership-narrowed enumeration level: ``var`` ranges over the
-    value-distinct representatives of relation ``rel``.  ``group_end`` is
-    the slot of the last level in the same quantifier scope group — levels
-    of one set former share a group (their domains narrow unconditionally,
-    predicates are only checked at the leaf), while each flattened nested
-    ``exists`` opens its own group (its domain narrows only for candidates
-    surviving the enclosing conjunction)."""
+    value-distinct representatives of relation ``rel``."""
 
     var: Var
     slot: int
     rel: str
     arity: int
-    group_end: int
-
-
-@dataclass(frozen=True)
-class PredSpec:
-    """A predicate with its gating position: ``eff_level`` is the slot at
-    whose conjunction leaf the tree walk evaluates it (the last slot of its
-    syntactic scope group) — deeper domains narrow only when rows survive
-    it.  The executor may *apply* it earlier (pushdown is touch-neutral);
-    only gate computation uses ``eff_level``."""
-
-    pred: Cmp
-    eff_level: int
 
 
 @dataclass(frozen=True)
@@ -112,9 +95,8 @@ class ResultSpec:
 class AltBranch:
     """One disjunct of a trailing ``or``, evaluated per surviving row of
     the positive join: pure predicates plus at most one single-level
-    ``[not] exists``.  Branches are ordered — the tree walk's ``any``
-    short-circuits, so a later branch's inner relation narrows only for
-    rows every earlier branch rejected."""
+    ``[not] exists``.  Branches are tried in source order per row, like
+    the tree walk's ``any``."""
 
     preds: tuple  # Cmp | Disj, over the enclosing chain's slots
     level: Optional[Level]
@@ -126,14 +108,19 @@ class AltBranch:
 class ChainQuery:
     """A set former, ``exists`` chain, or ``foreach`` domain: joined
     levels, predicates, an optional trailing anti join *or* union branches
-    (never both), and (for set formers / foreach) the projection."""
+    (never both), (for set formers / foreach) the projection, the node's
+    free variables — the parameters the executor dereferences — and the
+    run-time ``checks`` under which no predicate can raise
+    (:func:`_totality_checks`)."""
 
     levels: tuple[Level, ...]
-    preds: tuple[PredSpec, ...]
+    preds: tuple  # Cmp | Disj
     sub: Optional[SubQuery]
     kind: str  # "setformer" | "exists" | "foreach"
     result: Optional[ResultSpec]
     alts: tuple[AltBranch, ...] = ()
+    params: tuple[Var, ...] = ()
+    checks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -152,6 +139,8 @@ class ForallQuery:
     body_level: Optional[Level]
     body_preds: tuple[Cmp, ...]
     negated: bool
+    params: tuple[Var, ...] = ()
+    checks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -183,7 +172,7 @@ _PRED_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
 def _check_symbols(node, interp) -> None:
-    """Refuse nodes the executor has no exact replication for: situational
+    """Refuse nodes the executor has no replication for: situational
     layers, state-changing/defined/skolem/identifier symbols, and symbols
     shadowed by interpreter definitions."""
     for sub in node.iter_subnodes():
@@ -292,6 +281,68 @@ def _compile_pred(f: Formula, slots: dict[Var, int]):
     raise Incompilable(f"{type(f).__name__} conjunct")
 
 
+def _totality_checks(groups) -> tuple:
+    """What must hold of a state and an environment for no predicate to
+    raise.  A join tests predicates on other row combinations than the
+    nested enumeration does, so the two evaluators agree on errors only
+    where there are none: every operand of an ordered comparison or of
+    arithmetic must be an integer, every divisor non-zero, every selection
+    in range.  ``groups`` pairs the levels in scope with their predicates.
+
+    Constants are settled here (:class:`Incompilable` when one can only
+    raise); columns and parameters become ``(need, what)`` checks the
+    executor runs before the plan: ``("column", (rel, index))`` — the
+    column holds integers only — and ``("int" | "nonzero" | "defined",
+    expr)`` over a parameter expression."""
+    checks: list = []
+
+    def integer(e, by_slot) -> None:
+        if isinstance(e, Lit):
+            if type(e.value) is not int:
+                raise Incompilable(f"{e.value!r} where an integer is required")
+        elif isinstance(e, Col):
+            lv = by_slot[e.slot]
+            # A whole 1-tuple coerces to its atom.
+            index = e.index or (1 if lv.arity == 1 else 0)
+            if not 0 < index <= lv.arity:
+                raise Incompilable(f"{lv.var.name}: no integer column {e.index}")
+            checks.append(("column", (lv.rel, index)))
+        elif isinstance(e, Arith):
+            integer(e.lhs, by_slot)
+            integer(e.rhs, by_slot)
+            if e.op in ("div", "mod"):
+                if isinstance(e.rhs, (ParamRef, ParamSel)):
+                    checks.append(("nonzero", e.rhs))
+                elif not (isinstance(e.rhs, Lit) and e.rhs.value):
+                    raise Incompilable("divisor is not a non-zero constant")
+        else:
+            checks.append(("int", e))
+
+    def defined(e, by_slot) -> None:
+        if isinstance(e, Arith):
+            integer(e, by_slot)
+        elif isinstance(e, Col) and e.index > by_slot[e.slot].arity:
+            raise Incompilable(f"selection {e.index} out of range")
+        elif isinstance(e, ParamSel):
+            checks.append(("defined", e))
+
+    def total(p, by_slot) -> None:
+        if isinstance(p, Disj):
+            for branch in p.branches:
+                for c in branch:
+                    total(c, by_slot)
+            return
+        check = defined if p.op in ("eq", "ne") else integer
+        check(p.lhs, by_slot)
+        check(p.rhs, by_slot)
+
+    for levels, preds in groups:
+        by_slot = {lv.slot: lv for lv in levels}
+        for p in preds:
+            total(p, by_slot)
+    return tuple(dict.fromkeys(checks))
+
+
 def _is_member(f: Formula) -> bool:
     return isinstance(f, Pred) and _base_name(f.symbol.name) == "member"
 
@@ -356,8 +407,7 @@ def _compile_inner_level(ex: Exists, slots: dict[Var, int], slot: int, context: 
         ):
             raise Incompilable(f"nested quantifier inside {context}")
         sub_preds.append(_compile_pred(c, sub_slots))
-    level = Level(inner_var, slot, domain.name, domain.arity, group_end=slot)
-    return level, tuple(sub_preds)
+    return Level(inner_var, slot, domain.name, domain.arity), tuple(sub_preds)
 
 
 def _compile_alts(
@@ -366,8 +416,8 @@ def _compile_alts(
     """The trailing ``or``'s disjuncts as ordered union branches.  Each
     branch: pure predicates plus at most one trailing single-level
     ``[not] exists``.  A membership conjunct inside a disjunct is refused
-    (the tree walk would fall back to full arity-class enumeration when the
-    membership is swallowed by the ``or`` — a different touch regime)."""
+    (the tree walk falls back to full arity-class enumeration when the
+    membership is swallowed by the ``or``)."""
     branches: list[AltBranch] = []
     for d in f.disjuncts:
         dconj = _conjuncts(d)
@@ -395,46 +445,40 @@ def _compile_chain(
     cond: Formula,
     slots: dict[Var, int],
     levels: list[Level],
-    preds: list[PredSpec],
+    preds: list,
 ):
-    """Compile one quantifier scope: bind ``group_vars`` as one group from
-    ``cond``'s membership conjuncts, collect its value predicates, then
-    process the trailing quantified conjuncts — each positive ``exists``
-    flattens into its own group, the final one may be a ``not exists``
-    (anti join) — or a final ``or`` with quantified disjuncts (union
-    branches).  Returns ``(sub, alts)``; at most one is set."""
+    """Compile one quantifier scope: bind ``group_vars`` from ``cond``'s
+    membership conjuncts, collect its value predicates, then process the
+    trailing quantified conjuncts — each positive ``exists`` flattens into
+    further levels, the final one may be a ``not exists`` (anti join) — or
+    a final ``or`` with quantified disjuncts (union branches).  Returns
+    ``(sub, alts)``; at most one is set."""
     conjuncts = _conjuncts(cond)
     for var in group_vars:
         if var in slots:
             raise Incompilable(f"rebinding of {var.name}")
-    group_start = len(levels)
+    scope_start = len(levels)
     for var in group_vars:
         domain = _domain_of(var, conjuncts)
         slot = len(levels)
         slots[var] = slot
-        levels.append(Level(var, slot, domain.name, domain.arity, group_end=0))
-    group_end = len(levels) - 1
-    for i in range(group_start, len(levels)):
-        levels[i] = Level(
-            levels[i].var, levels[i].slot, levels[i].rel, levels[i].arity, group_end
-        )
+        levels.append(Level(var, slot, domain.name, domain.arity))
 
     trailing: list[Formula] = []
     plain: list[Formula] = []
     alt_src: Optional[Or] = None
     for pos, c in enumerate(conjuncts):
         if _is_member(c) and isinstance(c.args[0], Var) and c.args[0] in slots:
-            owner_slot = slots[c.args[0]]
-            if group_start <= owner_slot <= group_end:
-                continue  # this group's domain conjunct
+            if slots[c.args[0]] >= scope_start:
+                continue  # this scope's domain conjunct
             raise Incompilable("membership over an outer variable")
         if _is_quantified(c):
             trailing.append(c)
             continue
         if isinstance(c, Or) and _or_needs_union(c):
             # A quantified disjunction only compiles as the final conjunct
-            # of its scope: branch gating is computed from the rows of the
-            # whole positive join, i.e. candidates that reached the ``or``.
+            # of its scope: branches filter the rows of the whole positive
+            # join, i.e. candidates that reached the ``or``.
             if trailing:
                 raise Incompilable("union disjunction after a quantified conjunct")
             if pos != len(conjuncts) - 1:
@@ -445,7 +489,7 @@ def _compile_chain(
             raise Incompilable("quantified conjunct is not last")
         plain.append(c)
     for c in plain:
-        preds.append(PredSpec(_compile_pred(c, slots), eff_level=group_end))
+        preds.append(_compile_pred(c, slots))
 
     if alt_src is not None:
         return None, _compile_alts(alt_src, slots, len(levels))
@@ -461,9 +505,8 @@ def _compile_chain(
                 raise Incompilable("quantified conjunct is not last")
             continue
         # Trailing not-exists: one inner level, pure predicates only.  Only
-        # the final quantified conjunct may be negated — a later sibling
-        # would be gated on the anti join's outcome, which the anti-filter
-        # machinery does not replicate.
+        # the final quantified conjunct may be negated — the anti filter
+        # runs last, over the rows of the finished positive join.
         if not last:
             raise Incompilable("not-exists precedes another quantified conjunct")
         level, sub_preds = _compile_inner_level(
@@ -473,23 +516,47 @@ def _compile_chain(
     return sub, alts
 
 
-def compile_set_former(former: SetFormer, interp=None) -> ChainQuery:
-    _check_symbols(former, interp)
+def _chain_query(kind, bound, cond, params, make_result) -> ChainQuery:
     slots: dict[Var, int] = {}
     levels: list[Level] = []
-    preds: list[PredSpec] = []
-    sub, alts = _compile_chain(tuple(former.bound), former.cond, slots, levels, preds)
-    result = _compile_result(former, slots)
-    return ChainQuery(tuple(levels), tuple(preds), sub, "setformer", result, alts)
+    preds: list = []
+    sub, alts = _compile_chain(bound, cond, slots, levels, preds)
+    # Each predicate group with the levels in its scope: the positive
+    # join's, plus the one an anti join or a union branch adds.
+    groups = [(levels, preds)]
+    if sub is not None:
+        groups.append(([*levels, sub.level], sub.preds))
+    for branch in alts:
+        inner = [] if branch.level is None else [branch.level]
+        groups.append(([*levels, *inner], branch.preds + branch.inner_preds))
+    return ChainQuery(
+        tuple(levels),
+        tuple(preds),
+        sub,
+        kind,
+        make_result(slots),
+        alts,
+        params,
+        _totality_checks(groups),
+    )
+
+
+def compile_set_former(former: SetFormer, interp=None) -> ChainQuery:
+    _check_symbols(former, interp)
+    return _chain_query(
+        "setformer",
+        tuple(former.bound),
+        former.cond,
+        _params(former),
+        lambda slots: _compile_result(former, slots),
+    )
 
 
 def compile_exists(formula: Exists, interp=None) -> ChainQuery:
     _check_symbols(formula, interp)
-    slots: dict[Var, int] = {}
-    levels: list[Level] = []
-    preds: list[PredSpec] = []
-    sub, alts = _compile_chain((formula.var,), formula.body, slots, levels, preds)
-    return ChainQuery(tuple(levels), tuple(preds), sub, "exists", None, alts)
+    return _chain_query(
+        "exists", (formula.var,), formula.body, _params(formula), lambda slots: None
+    )
 
 
 def compile_foreach_domain(fluent: Foreach, interp=None) -> ChainQuery:
@@ -498,12 +565,19 @@ def compile_foreach_domain(fluent: Foreach, interp=None) -> ChainQuery:
     slot-0 representative, returned as a *list* in canonical enumeration
     order (the order the tree walk folds the body in)."""
     _check_symbols(fluent.cond, interp)
-    slots: dict[Var, int] = {}
-    levels: list[Level] = []
-    preds: list[PredSpec] = []
-    sub, alts = _compile_chain((fluent.var,), fluent.cond, slots, levels, preds)
     result = ResultSpec((Col(0, 0),), whole=True, element_arity=fluent.var.sort.arity)
-    return ChainQuery(tuple(levels), tuple(preds), sub, "foreach", result, alts)
+    return _chain_query(
+        "foreach",
+        (fluent.var,),
+        fluent.cond,
+        _params(fluent.cond, fluent.var),
+        lambda slots: result,
+    )
+
+
+def _params(node, *bound: Var) -> tuple[Var, ...]:
+    """The node's free variables: every parameter the plan can mention."""
+    return tuple(sorted(node.free_vars() - set(bound), key=lambda v: v.name))
 
 
 def _compile_result(former: SetFormer, slots: dict[Var, int]) -> ResultSpec:
@@ -535,8 +609,7 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
     domain = _domain_of(var, ante)
     # The membership must lead the antecedent: the tree walk short-circuits
     # the guard conjunction per candidate, so a leading value predicate
-    # could make it skip the ``member`` evaluation (and its relation touch)
-    # entirely — a shape we cannot gate exactly.
+    # (and any error it raises) would run on candidates outside ``R``.
     if not (_is_member(ante[0]) and ante[0].args[0] == var):
         raise Incompilable("forall guard membership is not the first conjunct")
     slots = {var: 0}
@@ -569,11 +642,10 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
                 if isinstance(ic, (Exists, Forall)):
                     raise Incompilable("forall body exists nests deeper")
                 body_preds.append(_compile_pred(ic, inner_slots))
-            body_level = Level(
-                inner_var, 1, inner_domain.name, inner_domain.arity, group_end=1
-            )
+            body_level = Level(inner_var, 1, inner_domain.name, inner_domain.arity)
         else:
             pre_preds.append(_compile_pred(c, slots))
+    guard = Level(var, 0, domain.name, domain.arity)
     return ForallQuery(
         var,
         var.sort.arity,
@@ -583,6 +655,12 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
         body_level,
         tuple(body_preds),
         negated,
+        _params(formula),
+        _totality_checks(
+            [([guard], guard_preds + pre_preds), ([guard, body_level], body_preds)]
+            if body_level is not None
+            else [([guard], guard_preds + pre_preds)]
+        ),
     )
 
 

@@ -1,47 +1,50 @@
-"""Plan execution with the tree walk's exact observable seams.
+"""Plan execution: hash joins behind the tree walk's value and error seams.
 
 The executor computes *what* the tree walk computes (same value, same
 canonical enumeration order, same representative identity, same error
-contract) while reading relations *differently* (hash joins and cached
-indexes instead of nested enumeration).  Its obligations, in order of
-importance:
+classes) while reading relations *differently* (hash joins and cached
+indexes instead of nested enumeration).  Its obligations:
 
 1. **Result equality** — bit-for-bit, including :class:`TupleSet`
    representative order, which downstream ``==`` (cache verification,
    oracle cross-checks) observes.
-2. **Read-set replication** — every relation name the tree walk would
-   report through ``_touch`` is reported, under the same gating: a level's
-   domain is touched only when the tree walk would have reached its
-   narrowing (DESIGN.md §7.6 states the invariant and its one sound
-   superset corner, parameter dereferences under reordered joins).
-3. **Budget metering** — evaluation charges the attached
+2. **The read-set contract** — a plan's read set is the relations the
+   plan names (its levels, its ``not exists``/union/``forall`` body
+   levels, the ``forall`` arity class) plus the owners of the parameters
+   it dereferences: a sound superset of the tree walk's touches, bounded
+   above by a set computable from the plan alone.  :func:`_open` reports
+   it through ``_touch`` before any join runs, so join order, pushdown
+   and early exits never change it (DESIGN.md §7.6 says why a superset
+   is all the query cache and the scheduler need).  Two things make it
+   larger than the tree walk's: a relation named behind a prefix that is
+   empty on this state, and a parameter no row needed — in particular a
+   tuple parameter whose identifier is dead, which ``_deref`` resolves
+   by touching every relation (any of them could bring it back).
+3. **Error equality** — a join tests predicates on other row
+   combinations than the nested enumeration does, so the two can only
+   agree on errors where no predicate can raise.
+   :func:`_open` proves that from the column types (the compiler's
+   ``checks``) before a plan runs and otherwise hands the node back to
+   the tree walk.
+4. **Budget metering** — evaluation charges the attached
    :class:`~repro.transactions.budget.Budget` through the same ``_touch``
-   seam plus per-candidate ticks, so runaway queries still abort; tick
-   *counts* are comparable, not identical (that difference is the speedup).
-
-Touches are emitted *after* the physical join (they are set-valued and
-order-free): a nonempty result proves every source-order prefix nonempty,
-so all gates are open; an empty result triggers a source-order gate pass
-that stops at the first empty prefix, exactly where the tree walk stops.
+   seam plus one tick per scanned and per probed candidate, so runaway
+   queries still abort; tick *counts* are comparable, not identical (that
+   difference is the speedup).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.db.values import DBTuple, TupleSet
-from repro.errors import EvaluationError
-from repro.transactions.interpreter import (
-    _dedupe_tuples,
-    _tuple_order_key,
-    value_eq,
-)
+from repro.errors import EvaluationError, UnboundVariableError
+from repro.transactions.interpreter import _tuple_order_key, value_eq
 
 from repro.algebra.compiler import (
     AggQuery,
     ChainQuery,
     Cmp,
     ForallQuery,
+    Level,
     ParamSel,
     RelQuery,
     SetOpQuery,
@@ -50,33 +53,61 @@ from repro.algebra.ir import Arith, Col, Disj, Lit, ParamRef
 
 
 class Unplannable(Exception):
-    """Run-time fallback signal: the current state does not match the plan
-    (relation missing or arity drifted).  The planner catches it and hands
-    the evaluation back to the tree walk, whose own error/touch behavior is
-    the contract for these states."""
+    """Run-time fallback signal: the current state or environment does not
+    match the plan (relation missing, arity drifted, parameter unbound).
+    The planner catches it and hands the evaluation back to the tree walk,
+    whose own error behavior is the contract for these cases."""
 
 
 class Ctx:
-    """Per-evaluation context: interpreter seams plus the lazy parameter
-    cache (dereferencing a tuple parameter touches its owning relation, so
-    resolution waits until a row actually needs the value)."""
+    """Per-evaluation context: the interpreter seams plus the plan's
+    parameters, dereferenced once by :func:`_open`."""
 
-    __slots__ = ("interp", "state", "env", "_params")
+    __slots__ = ("interp", "state", "params")
 
-    def __init__(self, interp, state, env) -> None:
+    def __init__(self, interp, state, params: dict) -> None:
         self.interp = interp
         self.state = state
-        self.env = env
-        self._params: dict = {}
+        self.params = params
 
-    def param(self, var):
+
+def _open(planner, interp, state, env, levels, q, *also: str) -> Ctx:
+    """Report the plan's whole read set, up front: one ``_touch`` per
+    relation named by ``levels`` (and ``also``, the ``forall`` arity
+    class), and every parameter of ``q`` dereferenced (which touches its
+    owner).  Hands the node back to the tree walk when the state does not
+    fit the plan, or when ``q.checks`` cannot rule out that a predicate
+    raises on it (:func:`repro.algebra.compiler._totality_checks`)."""
+    for lv in levels:
+        relation = state.relations.get(lv.rel)
+        if relation is None or relation.arity != lv.arity:
+            raise Unplannable(lv.rel)
+    try:
+        bound = [env.lookup(var) for var in q.params]
+    except UnboundVariableError as exc:
+        raise Unplannable(str(exc)) from None
+    values = {var: interp._deref(state, v) for var, v in zip(q.params, bound)}
+    ctx = Ctx(interp, state, values)
+    for need, what in q.checks:
         try:
-            return self._params[var]
-        except KeyError:
-            raw = self.env.lookup(var)
-            value = self.interp._deref(self.state, raw)
-            self._params[var] = value
-            return value
+            if need == "column":
+                rel, index = what
+                ok = planner.int_columns(state.relations[rel])[index - 1]
+            else:
+                value = _value(ctx, (), what)
+                ok = True  # "defined": evaluating it did not raise
+                if need != "defined":
+                    number = _as_int(value)
+                    ok = need == "int" or number != 0
+        except EvaluationError:
+            ok = False
+        if not ok:
+            raise Unplannable(f"a predicate may raise: {need} {what}")
+    for lv in levels:
+        interp._touch(state, lv.rel)
+    if also:
+        interp._touch(state, *also)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +122,9 @@ def _value(ctx: Ctx, row, expr):
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, ParamRef):
-        return ctx.param(expr.var)
+        return ctx.params[expr.var]
     if isinstance(expr, ParamSel):
-        value = ctx.param(expr.var)
+        value = ctx.params[expr.var]
         if isinstance(value, DBTuple):
             return value.select(expr.index)
         if isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -185,67 +216,132 @@ def _pred_slots(p) -> set[int]:
     return _expr_slots(p.lhs) | _expr_slots(p.rhs)
 
 
-def _expr_params(e):
-    if isinstance(e, (ParamRef, ParamSel)):
-        yield e.var
-    elif isinstance(e, Arith):
-        yield from _expr_params(e.lhs)
-        yield from _expr_params(e.rhs)
-
-
-def _pred_params(p):
-    if isinstance(p, Disj):
-        for branch in p.branches:
-            for c in branch:
-                yield from _pred_params(c)
-        return
-    yield from _expr_params(p.lhs)
-    yield from _expr_params(p.rhs)
-
-
-# ---------------------------------------------------------------------------
-# scans
-# ---------------------------------------------------------------------------
-
-
-def _check_binding(state, rel: str, arity: int):
-    relation = state.relations.get(rel)
-    if relation is None or relation.arity != arity:
-        raise Unplannable(rel)
-    return relation
-
-
-def _scan_rows(planner, ctx: Ctx, relation, local_preds, slot: int, nslots: int):
-    """Filtered representatives of one level, each as a row (a list with
-    only ``slot`` filled).  Uses a cached hash index for single-column
-    equality against a constant or parameter."""
-    reps = planner.reps_of(relation)
-    if not reps:
-        return []
-    preds = list(local_preds)
-    candidates = None
+def split_preds(preds, slot: int):
+    """Partition the predicates applied when level ``slot`` meets the rows
+    already placed: ``local`` ones mention only ``slot`` (pushed into its
+    scan), equi ``keys`` pair a placed-side expression with a column of
+    ``slot``, and ``residual`` ones filter the matches.  The one equi-key
+    extractor — :func:`_probe_table` and the planner's explain tree both
+    call it."""
+    local, keys, residual = [], [], []
     for p in preds:
-        if not isinstance(p, Cmp) or p.op != "eq":
+        if _pred_slots(p) <= {slot}:
+            local.append(p)
             continue
-        col, other = None, None
-        if isinstance(p.lhs, Col) and p.lhs.slot == slot and p.lhs.index > 0:
-            col, other = p.lhs, p.rhs
-        elif isinstance(p.rhs, Col) and p.rhs.slot == slot and p.rhs.index > 0:
-            col, other = p.rhs, p.lhs
-        if col is None or isinstance(other, Col):
-            continue
-        key = _key_of(_value(ctx, (), other))
-        candidates = planner.index_of(relation, col.index).get(key, ())
-        preds.remove(p)
-        break
-    pool = candidates if candidates is not None else reps
-    rows = []
+        key = _equi_key(p, slot)
+        if key is not None:
+            keys.append(key)
+        else:
+            residual.append(p)
+    return local, keys, residual
+
+
+def staged_preds(preds, order):
+    """Walk a join ``order``: yield each slot with the predicates that
+    become applicable once it is placed, and the placed slots that
+    predicates still pending mention."""
+    pending = [(p, _pred_slots(p)) for p in preds]
+    placed: set[int] = set()
+    for slot in order:
+        placed.add(slot)
+        usable = [p for p, slots in pending if slots <= placed]
+        pending = [(p, slots) for p, slots in pending if not slots <= placed]
+        yield slot, usable, placed & set().union(*(s for _, s in pending))
+
+
+def _equi_key(p, slot: int):
+    """``(other, mine)`` when ``p`` equates a column of ``slot`` with an
+    expression that does not mention ``slot``; else ``None``."""
+    if isinstance(p, Cmp) and p.op == "eq":
+        for mine, other in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
+            if (
+                isinstance(mine, Col)
+                and mine.slot == slot
+                and slot not in _expr_slots(other)
+            ):
+                return other, mine
+    return None
+
+
+# ---------------------------------------------------------------------------
+# scans and probe tables
+# ---------------------------------------------------------------------------
+
+
+def _scan(planner, ctx: Ctx, level: Level, preds) -> list:
+    """The level's representatives passing its local predicates, in
+    canonical order.  Uses a cached hash index for single-column equality
+    against a constant or parameter."""
+    interp = ctx.interp
+    relation = ctx.state.relations[level.rel]
+    pool = planner.reps_of(relation)
+    if len(pool) > interp.max_enumeration:
+        raise EvaluationError(
+            f"enumeration of {level.var.name} exceeds max_enumeration"
+        )
+    if not pool:
+        return []
+    slot = level.slot
+    filters = list(preds)
+    for p in preds:
+        key = _equi_key(p, slot)
+        if key is not None and key[1].index > 0:
+            other, mine = key
+            wanted = _key_of(_value(ctx, (), other))
+            pool = planner.index_of(relation, mine.index).get(wanted, ())
+            filters.remove(p)
+            break
+    budget = interp.budget
+    row = [None] * (slot + 1)
+    kept = []
     for t in pool:
-        row = [None] * nslots
+        if budget is not None:
+            budget.tick()
         row[slot] = t
-        if all(_holds(ctx, row, p) for p in preds):
-            rows.append(row)
-    return rows
+        if all(_holds(ctx, row, p) for p in filters):
+            kept.append(t)
+    return kept
+
+
+def _probe_table(planner, ctx: Ctx, level: Level, preds):
+    """The one hash-probe implementation (joins, anti joins, union
+    branches and ``forall`` bodies all use it): scan ``level`` under its
+    local predicates, key the survivors on the equi columns, and return
+    ``probe(row)`` — an iterator over ``row`` extended with each match
+    that passes the residual predicates.  Without equi keys the table has
+    one bucket and the probe is a filtered cross product.
+
+    The table is built when the first row probes it: a level no row
+    reaches is never scanned, so — as in the tree walk — its size is not
+    held against ``max_enumeration``."""
+    slot = level.slot
+    local, keys, residual = split_preds(preds, slot)
+    budget = ctx.interp.budget
+    table = None
+
+    def build() -> dict:
+        built: dict = {}
+        scratch = [None] * (slot + 1)
+        for t in _scan(planner, ctx, level, local):
+            scratch[slot] = t
+            k = tuple(_key_of(_value(ctx, scratch, mine)) for _, mine in keys)
+            built.setdefault(k, []).append(t)
+        return built
+
+    def probe(row):
+        nonlocal table
+        if table is None:
+            table = build()
+        k = tuple(_key_of(_value(ctx, row, other)) for other, _ in keys)
+        for t in table.get(k, ()):
+            if budget is not None:
+                budget.tick()
+            merged = list(row)
+            merged[slot] = t
+            if all(_holds(ctx, merged, p) for p in residual):
+                yield merged
+
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -253,408 +349,71 @@ def _scan_rows(planner, ctx: Ctx, relation, local_preds, slot: int, nslots: int)
 # ---------------------------------------------------------------------------
 
 
-def _classify_preds(levels, preds):
-    """Split predicates by the set of slots they mention: local to one
-    level, or joining several."""
-    local: dict[int, list[Cmp]] = {lv.slot: [] for lv in levels}
-    multi: list[Cmp] = []
-    for spec in preds:
-        p = spec.pred
-        slots = _pred_slots(p)
-        if len(slots) == 1:
-            local[next(iter(slots))].append(p)
-        elif not slots:
-            # Slot-free predicate: filters everything or nothing; applied
-            # with the first placed level.
-            local[levels[0].slot].append(p)
-        else:
-            multi.append(p)
-    return local, multi
+def _join_levels(planner, ctx: Ctx, q: ChainQuery, order) -> list:
+    """Left-deep hash-join pipeline over ``q.levels`` in ``order``.  Returns
+    the surviving rows — lists indexed by slot, one spare slot wide so a
+    trailing sub/branch level can extend them."""
+    by_slot = {lv.slot: lv for lv in q.levels}
+    # A bare exists only needs one witness per distinct binding of the
+    # slots later predicates still mention.
+    dedupe = q.kind == "exists" and q.sub is None and not q.alts
+    rows = [[None] * (len(q.levels) + 1)]
+    staged = staged_preds(q.preds, order)
+    for placed, (slot, usable, needed) in enumerate(staged, 1):
+        probe = _probe_table(planner, ctx, by_slot[slot], usable)
+        rows = [merged for row in rows for merged in probe(row)]
+        if not rows:
+            break
+        if dedupe and len(needed) < placed:
+            cols = sorted(needed)
+            seen_keys = set()
+            kept = []
+            for row in rows:
+                k = tuple(row[s].values for s in cols)
+                if k not in seen_keys:
+                    seen_keys.add(k)
+                    kept.append(row)
+            rows = kept
+    return rows
 
 
-def _join_levels(planner, ctx, levels, local, multi, order, dedupe_for_exists):
-    """Left-deep hash-join pipeline over ``levels`` in ``order``.  Returns
-    the surviving rows (each a list indexed by slot)."""
-    nslots = max(lv.slot for lv in levels) + 1
-    by_slot = {lv.slot: lv for lv in levels}
-    remaining = list(multi)
-    budget = ctx.interp.budget
-    rows = None
-    placed: set[int] = set()
-    for slot in order:
-        lv = by_slot[slot]
-        relation = ctx.state.relations[lv.rel]
-        if rows is None:
-            rows = _scan_rows(planner, ctx, relation, local[slot], slot, nslots)
-            placed.add(slot)
-        else:
-            if not rows:
-                placed.add(slot)
-                continue
-            # Join predicates usable as equi keys: eq between a placed-side
-            # expression and a column of the incoming level.
-            keys = []
-            keyed_ids = set()
-            usable = []
-            for p in remaining:
-                slots = _pred_slots(p)
-                if not slots <= placed | {slot}:
-                    continue
-                usable.append(p)
-                if not isinstance(p, Cmp) or p.op != "eq" or slot not in slots:
-                    continue
-                if isinstance(p.lhs, Col) and p.lhs.slot == slot:
-                    mine, other = p.lhs, p.rhs
-                elif isinstance(p.rhs, Col) and p.rhs.slot == slot:
-                    mine, other = p.rhs, p.lhs
-                else:
-                    continue
-                if isinstance(other, Col) and other.slot == slot:
-                    continue
-                keys.append((other, mine))
-                keyed_ids.add(id(p))
-            residual = [p for p in usable if id(p) not in keyed_ids]
-            new_rows = _scan_rows(
-                planner, ctx, relation, local[slot], slot, nslots
-            )
-            if keys:
-                table: dict = {}
-                for nrow in new_rows:
-                    k = tuple(_key_of(_value(ctx, nrow, mine)) for _, mine in keys)
-                    table.setdefault(k, []).append(nrow[slot])
-                joined = []
-                for row in rows:
-                    k = tuple(
-                        _key_of(_value(ctx, row, other)) for other, _ in keys
-                    )
-                    for t in table.get(k, ()):
-                        if budget is not None:
-                            budget.tick()
-                        merged = list(row)
-                        merged[slot] = t
-                        if all(_holds(ctx, merged, p) for p in residual):
-                            joined.append(merged)
-                rows = joined
-            else:
-                joined = []
-                for row in rows:
-                    for nrow in new_rows:
-                        if budget is not None:
-                            budget.tick()
-                        merged = list(row)
-                        merged[slot] = nrow[slot]
-                        if all(_holds(ctx, merged, p) for p in residual):
-                            joined.append(merged)
-                rows = joined
-            placed.add(slot)
-            for p in usable:
-                remaining.remove(p)
-        if dedupe_for_exists and rows:
-            needed = set()
-            for p in remaining:
-                needed |= _pred_slots(p)
-            needed &= placed
-            if len(needed) < len(placed):
-                seen_keys = set()
-                kept = []
-                for row in rows:
-                    k = tuple(
-                        row[s].values if row[s] is not None else None
-                        for s in sorted(needed)
-                    )
-                    if k not in seen_keys:
-                        seen_keys.add(k)
-                        kept.append(row)
-                rows = kept
-    # Any predicates left mention no joinable combination (defensive).
-    if rows and remaining:
-        rows = [r for r in rows if all(_holds(ctx, r, p) for p in remaining)]
-    return rows if rows is not None else []
+def _alt_filter(planner, ctx: Ctx, rows, alts):
+    """Filter rows by the trailing ``or``: keep rows where some branch
+    holds, trying branches in source order per row."""
+    probes = [
+        _probe_table(planner, ctx, branch.level, branch.inner_preds)
+        if branch.level is not None
+        else None
+        for branch in alts
+    ]
 
-
-def _anti_filter(planner, ctx, rows, sub, nslots):
-    """Drop rows with a match in the trailing not-exists level."""
-    if not rows:
-        return rows
-    relation = ctx.state.relations[sub.level.rel]
-    slot = sub.level.slot
-    local = []
-    linking = []
-    for p in sub.preds:
-        slots = _pred_slots(p)
-        if slots <= {slot}:
-            local.append(p)
-        else:
-            linking.append(p)
-    sub_rows = _scan_rows(
-        planner, ctx, relation, local, slot, nslots + 1
-    )
-    keys = []
-    for p in linking:
-        if not isinstance(p, Cmp) or p.op != "eq":
-            continue
-        if isinstance(p.lhs, Col) and p.lhs.slot == slot and not (
-            isinstance(p.rhs, Col) and p.rhs.slot == slot
-        ):
-            keys.append((p.rhs, p.lhs, p))
-        elif isinstance(p.rhs, Col) and p.rhs.slot == slot and not (
-            isinstance(p.lhs, Col) and p.lhs.slot == slot
-        ):
-            keys.append((p.lhs, p.rhs, p))
-    keyed = {id(p) for _, _, p in keys}
-    residual = [p for p in linking if id(p) not in keyed]
-    table: dict = {}
-    for srow in sub_rows:
-        k = tuple(_key_of(_value(ctx, srow, mine)) for _, mine, _ in keys)
-        table.setdefault(k, []).append(srow[slot])
-    kept = []
-    budget = ctx.interp.budget
-    for row in rows:
-        k = tuple(_key_of(_value(ctx, row, other)) for other, _, _ in keys)
-        matched = False
-        for t in table.get(k, ()):
-            if budget is not None:
-                budget.tick()
-            merged = list(row)
-            if len(merged) <= slot:
-                merged.extend([None] * (slot + 1 - len(merged)))
-            merged[slot] = t
-            if all(_holds(ctx, merged, p) for p in residual):
-                matched = True
-                break
-        if not matched:
-            kept.append(row)
-    return kept
-
-
-def _match_fn(planner, ctx, relation, preds, slot: int):
-    """A per-row matcher over one inner level: does any representative of
-    ``relation`` satisfy ``preds`` together with the row?  The hash-table
-    shape mirrors :func:`_anti_filter`."""
-    local = []
-    linking = []
-    for p in preds:
-        if _pred_slots(p) <= {slot}:
-            local.append(p)
-        else:
-            linking.append(p)
-    sub_rows = _scan_rows(planner, ctx, relation, local, slot, slot + 1)
-    keys = []
-    for p in linking:
-        if not isinstance(p, Cmp) or p.op != "eq":
-            continue
-        if isinstance(p.lhs, Col) and p.lhs.slot == slot and not (
-            isinstance(p.rhs, Col) and p.rhs.slot == slot
-        ):
-            keys.append((p.rhs, p.lhs, p))
-        elif isinstance(p.rhs, Col) and p.rhs.slot == slot and not (
-            isinstance(p.lhs, Col) and p.lhs.slot == slot
-        ):
-            keys.append((p.lhs, p.rhs, p))
-    keyed = {id(p) for _, _, p in keys}
-    residual = [p for p in linking if id(p) not in keyed]
-    table: dict = {}
-    for srow in sub_rows:
-        k = tuple(_key_of(_value(ctx, srow, mine)) for _, mine, _ in keys)
-        table.setdefault(k, []).append(srow[slot])
-    budget = ctx.interp.budget
-
-    def match(row) -> bool:
-        k = tuple(_key_of(_value(ctx, row, other)) for other, _, _ in keys)
-        for t in table.get(k, ()):
-            if budget is not None:
-                budget.tick()
-            merged = list(row)
-            if len(merged) <= slot:
-                merged.extend([None] * (slot + 1 - len(merged)))
-            merged[slot] = t
-            if all(_holds(ctx, merged, p) for p in residual):
+    def accepted(row) -> bool:
+        for branch, probe in zip(alts, probes):
+            if all(_holds(ctx, row, p) for p in branch.preds) and (
+                probe is None or any(probe(row)) != branch.negated
+            ):
                 return True
         return False
 
-    return match
-
-
-def _alt_filter(planner, ctx, rows, alts):
-    """Filter rows by the trailing ``or``: keep rows where some branch
-    holds.  Touch gating follows the tree walk's ``any`` short-circuit in
-    branch order: every row still unanswered evaluates the branch's pure
-    predicates (so their parameters resolve), and the branch's inner
-    relation narrows only when some such row passes them."""
-    interp, state = ctx.interp, ctx.state
-    budget = interp.budget
-    remaining = list(rows)
-    keep: set[int] = set()
-    for branch in alts:
-        if not remaining:
-            break
-        _force_params(ctx, branch.preds)
-        passing_ids = {
-            id(r)
-            for r in remaining
-            if all(_holds(ctx, r, p) for p in branch.preds)
-        }
-        match = None
-        if branch.level is not None and passing_ids:
-            relation = interp._relation(
-                state, branch.level.rel, branch.level.arity
-            )
-            reps = planner.reps_of(relation)
-            if len(reps) > interp.max_enumeration:
-                raise EvaluationError(
-                    f"enumeration of {branch.level.var.name} exceeds "
-                    f"max_enumeration"
-                )
-            if budget is not None:
-                for _ in reps:
-                    budget.tick()
-            if reps:
-                _force_params(ctx, branch.inner_preds)
-            match = _match_fn(
-                planner, ctx, relation, branch.inner_preds, branch.level.slot
-            )
-        next_remaining = []
-        for r in remaining:
-            ok = id(r) in passing_ids
-            if ok and branch.level is not None:
-                m = match(r) if match is not None else False
-                ok = (not m) if branch.negated else m
-            if ok:
-                keep.add(id(r))
-            else:
-                next_remaining.append(r)
-        remaining = next_remaining
-    return [r for r in rows if id(r) in keep]
-
-
-def _emit_chain_touches(planner, ctx, q: ChainQuery, nonempty_positive: bool):
-    """Source-order touch/gate pass.  Returns True when the trailing
-    not-exists level is reached (its domain narrows).
-
-    Two gate regimes, matching the tree walk (DESIGN.md §7.6): within a
-    group, level ``ℓ`` narrows iff every earlier domain in the group is
-    nonempty (predicates are only checked at the leaf); a later group
-    narrows iff the filtered join of all earlier groups is nonempty.  A
-    nonempty final join proves every gate open; otherwise the source-order
-    prefix join is recomputed with early exit.  When a group's leaf is
-    reached, its predicates ran there — so their parameters are resolved
-    (dereferencing touches the owning relation) exactly then.
-    """
-    interp, state = ctx.interp, ctx.state
-    budget = interp.budget
-    levels = q.levels
-    n = len(levels)
-    i = 0
-    while i < n:
-        group_end = levels[i].group_end
-        if i > 0 and not nonempty_positive:
-            if not _prefix_alive(planner, ctx, q, levels[i].slot):
-                return False
-        group_nonempty = True
-        j = i
-        while j < n and levels[j].slot <= group_end:
-            lv = levels[j]
-            relation = interp._relation(state, lv.rel, lv.arity)
-            reps = planner.reps_of(relation)
-            if len(reps) > interp.max_enumeration:
-                raise EvaluationError(
-                    f"enumeration of {lv.var.name} exceeds max_enumeration"
-                )
-            if budget is not None:
-                for _ in reps:
-                    budget.tick()
-            j += 1
-            if not reps:
-                # Deeper levels of this group never narrow; the group's
-                # leaf has no candidates, so its predicates never ran.
-                group_nonempty = False
-                break
-        if not group_nonempty:
-            return False
-        _force_params(
-            ctx, [s.pred for s in q.preds if s.eff_level == group_end]
-        )
-        i = j
-    if nonempty_positive:
-        reached_sub = True
-    else:
-        reached_sub = _prefix_alive(planner, ctx, q, None)
-    if reached_sub and q.sub is not None:
-        sub = q.sub
-        relation = interp._relation(state, sub.level.rel, sub.level.arity)
-        reps = planner.reps_of(relation)
-        if len(reps) > interp.max_enumeration:
-            raise EvaluationError(
-                f"enumeration of {sub.level.var.name} exceeds max_enumeration"
-            )
-        if reps:
-            _force_params(ctx, sub.preds)
-    return reached_sub
-
-
-def _force_params(ctx: Ctx, preds) -> None:
-    """Resolve the parameters of gated-open predicates: the tree walk
-    dereferences them at the leaf its candidates reach, so an open gate
-    means the dereference (and its owner touch) happened."""
-    for p in preds:
-        for var in _pred_params(p):
-            ctx.param(var)
-
-
-def _prefix_alive(planner, ctx, q: ChainQuery, upto_slot: Optional[int]) -> bool:
-    """Is the source-order filtered join of all levels before ``upto_slot``
-    (all levels when ``None``) nonempty?  Only consulted when the full
-    positive join came out empty, so this re-join stops early."""
-    levels = [
-        lv for lv in q.levels if upto_slot is None or lv.slot < upto_slot
-    ]
-    if not levels:
-        return True
-    boundary = levels[-1].group_end
-    preds = [s for s in q.preds if s.eff_level <= boundary]
-    local, multi = _classify_preds(levels, preds)
-    rows = _join_levels(
-        planner,
-        ctx,
-        levels,
-        local,
-        multi,
-        [lv.slot for lv in levels],
-        dedupe_for_exists=True,
-    )
-    return bool(rows)
+    return [row for row in rows if accepted(row)]
 
 
 def _chain_rows(planner, interp, state, env, q: ChainQuery):
-    """Shared front half of chain evaluation: binding checks, positive
-    join, touch emission, union-branch filter, anti filter.  Returns the
-    evaluation context and the surviving rows."""
-    for lv in q.levels:
-        _check_binding(state, lv.rel, lv.arity)
+    """Shared front half of chain evaluation: read-set report, positive
+    join, union-branch filter, anti filter.  Returns the evaluation
+    context and the surviving rows."""
+    named = list(q.levels)
     if q.sub is not None:
-        _check_binding(state, q.sub.level.rel, q.sub.level.arity)
-    for branch in q.alts:
-        if branch.level is not None:
-            _check_binding(state, branch.level.rel, branch.level.arity)
-    ctx = Ctx(interp, state, env)
-    nslots = len(q.levels)
-    order = planner.order_levels(state, q)
-    local, multi = _classify_preds(q.levels, q.preds)
-    rows = _join_levels(
-        planner,
-        ctx,
-        q.levels,
-        local,
-        multi,
-        order,
-        dedupe_for_exists=(q.kind == "exists" and q.sub is None and not q.alts),
-    )
-    nonempty_positive = bool(rows)
-    _emit_chain_touches(planner, ctx, q, nonempty_positive)
+        named.append(q.sub.level)
+    named.extend(b.level for b in q.alts if b.level is not None)
+    ctx = _open(planner, interp, state, env, named, q)
+    rows = _join_levels(planner, ctx, q, planner.order_levels(state, q))
     if q.alts and rows:
         rows = _alt_filter(planner, ctx, rows, q.alts)
     if q.sub is not None and rows:
-        rows = _anti_filter(planner, ctx, rows, q.sub, nslots)
+        # Trailing not-exists: drop rows with a match in its level.
+        matches = _probe_table(planner, ctx, q.sub.level, q.sub.preds)
+        rows = [row for row in rows if not any(matches(row))]
     return ctx, rows
 
 
@@ -723,144 +482,39 @@ def _atom_of(value):
 
 
 def run_forall(planner, interp, state, env, q: ForallQuery) -> bool:
-    _check_binding(state, q.rel, q.arity)
-    if q.body_level is not None:
-        _check_binding(state, q.body_level.rel, q.body_level.arity)
-    ctx = Ctx(interp, state, env)
-    budget = interp.budget
-
+    guard = Level(q.var, 0, q.rel, q.arity)
+    named = [guard] if q.body_level is None else [guard, q.body_level]
     # The unguarded forall domain: every tuple of the variable's arity.
     arity_names = [
         n
         for n in state.relation_names()
         if state.relations[n].arity == q.arity
     ]
-    interp._touch(state, *arity_names)
+    ctx = _open(planner, interp, state, env, named, q, *arity_names)
     domain_count = sum(len(state.relations[n]) for n in arity_names)
     if domain_count > interp.max_enumeration:
         raise EvaluationError(
             f"enumeration of {q.var.name} exceeds max_enumeration"
         )
-    if domain_count == 0:
-        return True
+    budget = interp.budget
     if budget is not None:
         for _ in range(domain_count):
             budget.tick()
 
-    # Every processed candidate evaluates member(v, R): R is touched as
-    # soon as the domain is nonempty.
-    guard_rel = interp._relation(state, q.rel, q.arity)
-    reps = planner.reps_of(guard_rel)
-    # Guard-predicate parameters: the tree walk evaluates the guards at
-    # every candidate passing the leading membership, so their gate is
-    # R-nonempty — resolved (touching the owner) even when every guard
-    # fails.  Pre-predicate parameters gate on guard survivors instead.
-    if reps:
-        _force_params(ctx, q.guard_preds)
-    guard_rows = [
-        t
-        for t in reps
-        if all(_holds(ctx, (t,), p) for p in q.guard_preds)
-    ]
-    if not guard_rows:
+    # Candidates outside R pass the guard's membership vacuously; the rest
+    # are checked in canonical order, stopping at the first violation.
+    rows = list(_probe_table(planner, ctx, guard, q.guard_preds)([None, None]))
+    if not rows:
         return True
-
-    pre_ok = []
-    viol_values: set = set()
-    for t in guard_rows:
-        if all(_holds(ctx, (t,), p) for p in q.pre_preds):
-            pre_ok.append(t)
-        else:
-            viol_values.add(t.values)
-    _force_params(ctx, q.pre_preds)
-
-    body_negated = q.negated
-    matched_values: set = set()
-    if q.body_level is not None and pre_ok:
-        srel = state.relations[q.body_level.rel]
-        slot = q.body_level.slot
-        local = []
-        linking = []
-        for p in q.body_preds:
-            slots = _pred_slots(p)
-            if slots <= {slot}:
-                local.append(p)
-            else:
-                linking.append(p)
-        sub_rows = _scan_rows(planner, ctx, srel, local, slot, 2)
-        keys = []
-        for p in linking:
-            if not isinstance(p, Cmp) or p.op != "eq":
-                continue
-            if isinstance(p.lhs, Col) and p.lhs.slot == slot and not (
-                isinstance(p.rhs, Col) and p.rhs.slot == slot
-            ):
-                keys.append((p.rhs, p.lhs, p))
-            elif isinstance(p.rhs, Col) and p.rhs.slot == slot and not (
-                isinstance(p.lhs, Col) and p.lhs.slot == slot
-            ):
-                keys.append((p.lhs, p.rhs, p))
-        keyed = {id(p) for _, _, p in keys}
-        residual = [p for p in linking if id(p) not in keyed]
-        table: dict = {}
-        for srow in sub_rows:
-            k = tuple(_key_of(_value(ctx, srow, mine)) for _, mine, _ in keys)
-            table.setdefault(k, []).append(srow[slot])
-        for t in pre_ok:
-            row = [t, None]
-            k = tuple(_key_of(_value(ctx, row, other)) for other, _, _ in keys)
-            matched = False
-            for s in table.get(k, ()):
-                if budget is not None:
-                    budget.tick()
-                row[1] = s
-                if all(_holds(ctx, row, p) for p in residual):
-                    matched = True
-                    break
-            if matched:
-                matched_values.add(t.values)
+    body = None
     if q.body_level is not None:
-        for t in pre_ok:
-            if body_negated:
-                if t.values in matched_values:
-                    viol_values.add(t.values)
-            else:
-                if t.values not in matched_values:
-                    viol_values.add(t.values)
-
-    # Touch gating for the body relation: the tree walk narrows it at the
-    # first processed candidate passing guard ∧ pre-predicates; processing
-    # stops at the first violation (in canonical candidate order).
-    if q.body_level is not None:
-        pre_values = {t.values for t in pre_ok}
-        touch_body = False
-        if pre_values:
-            if not viol_values:
-                touch_body = True
-            else:
-                candidates = sorted(
-                    _dedupe_tuples(state.tuples_of_arity(q.arity)),
-                    key=_tuple_order_key,
-                )
-                for cand in candidates:
-                    if cand.values in pre_values:
-                        touch_body = True
-                        break
-                    if cand.values in viol_values:
-                        break
-        if touch_body:
-            srel = interp._relation(
-                state, q.body_level.rel, q.body_level.arity
-            )
-            sreps = planner.reps_of(srel)
-            if len(sreps) > interp.max_enumeration:
-                raise EvaluationError(
-                    f"enumeration of {q.body_level.var.name} exceeds "
-                    f"max_enumeration"
-                )
-            if sreps:
-                _force_params(ctx, q.body_preds)
-    return not viol_values
+        body = _probe_table(planner, ctx, q.body_level, q.body_preds)
+    for row in rows:
+        if not all(_holds(ctx, row, p) for p in q.pre_preds):
+            return False
+        if body is not None and any(body(row)) == q.negated:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ class Lit:
 class ParamRef:
     """A free variable of the query, bound in the environment at run time.
 
-    Resolution is *lazy* — the executor dereferences it the first time a
-    row actually reaches an expression mentioning it, replicating where the
-    tree walk touches the parameter tuple's owning relation.
+    The executor dereferences every parameter of a plan once, before it
+    joins — the owning relation of a tuple parameter is part of the plan's
+    read set.
     """
 
     var: Var
@@ -72,8 +72,8 @@ ValueExpr = object  # Col | Lit | ParamRef | Arith
 class Cmp:
     """A pure value predicate: ``lhs op rhs`` with ``op`` one of
     ``eq ne lt le gt ge``.  Never touches a relation (operands are columns,
-    constants, or parameters), which is what makes predicate pushdown
-    touch-neutral."""
+    constants, or parameters), so predicates can be pushed down and
+    reordered freely."""
 
     op: str
     lhs: ValueExpr

@@ -5,16 +5,17 @@ The planner sits behind four interpreter hooks (set formers, quantifiers,
 aggregates — installed by :meth:`repro.engine.Database.enable_planner`).
 Each hook returns ``(handled, value)``: ``(False, None)`` hands the node
 back to the tree walk (outside the compilable fragment, planner disabled
-or quarantined, relation drifted from the plan, or re-entry from the
-verification oracle), ``(True, value)`` answers it from a relational-
+or quarantined, relation drifted from the plan, a predicate that could
+raise on the current column types, or re-entry from the verification
+oracle), ``(True, value)`` answers it from a relational-
 algebra plan.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
 use — come from :class:`~repro.algebra.stats.StatsCatalog`, whose row
 counts the engine maintains incrementally from commit deltas.  Decisions
-affect time only, never results or read sets: the executor replicates the
-tree walk's ``_touch`` gating in *source* order regardless of the physical
-join order (DESIGN.md §7.6).
+affect time only, never results or read sets: the executor reports every
+relation the plan names before it joins, whatever the physical join order
+(the read-set contract in :mod:`repro.algebra.executor`, DESIGN.md §7.6).
 
 ``verify=True`` cross-checks every planned answer against the tree-walk
 oracle; ``quarantine=True`` additionally disables the planner on the first
@@ -89,8 +90,7 @@ class QueryPlanner:
         self.max_plans = max_plans
         self.max_rep_cache = max_rep_cache
         self._plans: OrderedDict = OrderedDict()
-        self._reps: OrderedDict = OrderedDict()
-        self._indexes: OrderedDict = OrderedDict()
+        self._derived: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._local = threading.local()
         # White-box seam for the chaos harness: when set, every planned
@@ -105,42 +105,56 @@ class QueryPlanner:
 
     # -- caches -------------------------------------------------------------
 
+    def _cached(self, key, build):
+        """Data derived from one relation, cached against the immutable
+        relation object in ``key`` (states share unchanged relations
+        structurally, so one entry serves every snapshot that didn't touch
+        the relation)."""
+        with self._lock:
+            got = self._derived.get(key)
+            if got is not None:
+                self._derived.move_to_end(key)
+                return got
+        got = build()
+        with self._lock:
+            self._derived[key] = got
+            while len(self._derived) > self.max_rep_cache:
+                self._derived.popitem(last=False)
+        return got
+
     def reps_of(self, relation):
         """The relation's value-distinct representatives in the tree walk's
-        canonical enumeration order, cached against the immutable relation
-        object (states share unchanged relations structurally, so one entry
-        serves every snapshot that didn't touch the relation)."""
-        with self._lock:
-            got = self._reps.get(relation)
-            if got is not None:
-                self._reps.move_to_end(relation)
-                return got
-        reps = sorted(
-            relation.to_tuple_set().representatives, key=_tuple_order_key
+        canonical enumeration order."""
+        return self._cached(
+            (relation, "reps"),
+            lambda: sorted(
+                relation.to_tuple_set().representatives, key=_tuple_order_key
+            ),
         )
-        with self._lock:
-            self._reps[relation] = reps
-            while len(self._reps) > self.max_rep_cache:
-                self._reps.popitem(last=False)
-        return reps
 
     def index_of(self, relation, index: int) -> dict:
         """Hash index over column ``index`` (1-based) of the relation's
-        representatives; cached like :meth:`reps_of`."""
-        key = (relation, index)
-        with self._lock:
-            got = self._indexes.get(key)
-            if got is not None:
-                self._indexes.move_to_end(key)
-                return got
-        table: dict = {}
-        for t in self.reps_of(relation):
-            table.setdefault(t.values[index - 1], []).append(t)
-        with self._lock:
-            self._indexes[key] = table
-            while len(self._indexes) > self.max_rep_cache:
-                self._indexes.popitem(last=False)
-        return table
+        representatives."""
+
+        def build() -> dict:
+            table: dict = {}
+            for t in self.reps_of(relation):
+                table.setdefault(t.values[index - 1], []).append(t)
+            return table
+
+        return self._cached((relation, index), build)
+
+    def int_columns(self, relation) -> tuple:
+        """Per column: does it hold integers only?  What the executor needs
+        to know that a comparison or arithmetic over it cannot raise."""
+        return self._cached(
+            (relation, "int"),
+            lambda: tuple(
+                all(type(v) is int for v in column)
+                for column in zip(*(t.values for t in self.reps_of(relation)))
+            )
+            or (True,) * relation.arity,
+        )
 
     def _compiled(self, node, interp, compile_fn):
         """Compile-or-fallback with a bounded plan cache; ``None`` means the
@@ -206,8 +220,7 @@ class QueryPlanner:
         by_slot = {lv.slot: lv for lv in levels}
         local_eq: dict[int, list[int]] = {lv.slot: [] for lv in levels}
         joins: list[tuple[int, int, int, int]] = []  # slotA, colA, slotB, colB
-        for spec in q.preds:
-            p = spec.pred
+        for p in q.preds:
             if not isinstance(p, Cmp) or p.op != "eq":
                 continue
             lhs, rhs = p.lhs, p.rhs
@@ -302,95 +315,29 @@ class QueryPlanner:
             )
             if q.body_level is None:
                 return left
-            right = ir.Scan(
-                q.body_level.rel,
-                q.body_level.arity,
-                1,
-                q.body_level.var.name,
-            )
-            lk, rk, residual = _split_keys(q.body_preds, {0}, 1)
             cls = ir.SemiJoin if q.negated else ir.AntiJoin
-            return cls(left, right, tuple(lk), tuple(rk), tuple(residual))
+            return _join_op(cls, left, q.body_level, q.body_preds)
         assert isinstance(q, ChainQuery)
-        order = self.order_levels(state, q)
         by_slot = {lv.slot: lv for lv in q.levels}
-        preds = [s.pred for s in q.preds]
-        local: dict[int, list[Cmp]] = {lv.slot: [] for lv in q.levels}
-        multi: list[Cmp] = []
-        for p in preds:
-            slots = _exec._pred_slots(p)
-            if len(slots) <= 1:
-                local[next(iter(slots)) if slots else order[0]].append(p)
-            else:
-                multi.append(p)
-        placed = {order[0]}
-        lv0 = by_slot[order[0]]
-        root = ir.Scan(
-            lv0.rel, lv0.arity, lv0.slot, lv0.var.name, tuple(local[lv0.slot])
-        )
-        for slot in order[1:]:
-            lv = by_slot[slot]
-            usable = [p for p in multi if _exec._pred_slots(p) <= placed | {slot}]
-            used = {id(p) for p in usable}
-            multi = [p for p in multi if id(p) not in used]
-            lk, rk, residual = _split_keys(usable, placed, slot)
-            scan = ir.Scan(
-                lv.rel, lv.arity, lv.slot, lv.var.name, tuple(local[slot])
-            )
-            root = ir.HashJoin(root, scan, tuple(lk), tuple(rk), tuple(residual))
-            placed.add(slot)
+        root = None
+        order = self.order_levels(state, q)
+        for slot, usable, _ in _exec.staged_preds(q.preds, order):
+            root = _join_op(ir.HashJoin, root, by_slot[slot], usable)
         if q.alts:
             # Union plan: one branch per disjunct over the shared positive
-            # join, combined left-to-right (branch order is semantic — the
-            # tree walk's ``any`` short-circuits in source order).
+            # join, combined left-to-right in source order.
             base = root
-            branch_ops = []
+            root = None
             for branch in q.alts:
                 b = base
                 if branch.preds:
                     b = ir.Select(b, tuple(branch.preds))
                 if branch.level is not None:
-                    s_local = [
-                        p
-                        for p in branch.inner_preds
-                        if _exec._pred_slots(p) <= {branch.level.slot}
-                    ]
-                    s_used = {id(p) for p in s_local}
-                    linking = [
-                        p for p in branch.inner_preds if id(p) not in s_used
-                    ]
-                    lk, rk, residual = _split_keys(
-                        linking, placed, branch.level.slot
-                    )
-                    scan = ir.Scan(
-                        branch.level.rel,
-                        branch.level.arity,
-                        branch.level.slot,
-                        branch.level.var.name,
-                        tuple(s_local),
-                    )
                     cls = ir.AntiJoin if branch.negated else ir.SemiJoin
-                    b = cls(b, scan, tuple(lk), tuple(rk), tuple(residual))
-                branch_ops.append(b)
-            root = branch_ops[0]
-            for b in branch_ops[1:]:
-                root = ir.Union("union", root, b)
+                    b = _join_op(cls, b, branch.level, branch.inner_preds)
+                root = b if root is None else ir.Union("union", root, b)
         if q.sub is not None:
-            sub = q.sub
-            s_local = [
-                p for p in sub.preds if _exec._pred_slots(p) <= {sub.level.slot}
-            ]
-            s_used = {id(p) for p in s_local}
-            linking = [p for p in sub.preds if id(p) not in s_used]
-            lk, rk, residual = _split_keys(linking, placed, sub.level.slot)
-            scan = ir.Scan(
-                sub.level.rel,
-                sub.level.arity,
-                sub.level.slot,
-                sub.level.var.name,
-                tuple(s_local),
-            )
-            root = ir.AntiJoin(root, scan, tuple(lk), tuple(rk), tuple(residual))
+            root = _join_op(ir.AntiJoin, root, q.sub.level, q.sub.preds)
         if q.kind in ("setformer", "foreach") and q.result is not None:
             root = ir.Project(
                 root,
@@ -529,28 +476,21 @@ class QueryPlanner:
                 tracer.finish(span)
 
 
-def _split_keys(preds, placed, slot):
-    """Partition join predicates into equi keys (placed-side expr, new-side
-    column) and residual filters — the static mirror of the executor's
-    per-step key extraction."""
-    lk, rk, residual = [], [], []
-    for p in preds:
-        mine = other = None
-        if isinstance(p, Cmp) and p.op == "eq":
-            if isinstance(p.lhs, ir.Col) and p.lhs.slot == slot and not (
-                isinstance(p.rhs, ir.Col) and p.rhs.slot == slot
-            ):
-                mine, other = p.lhs, p.rhs
-            elif isinstance(p.rhs, ir.Col) and p.rhs.slot == slot and not (
-                isinstance(p.lhs, ir.Col) and p.lhs.slot == slot
-            ):
-                mine, other = p.rhs, p.lhs
-        if mine is not None:
-            lk.append(other)
-            rk.append(mine)
-        else:
-            residual.append(p)
-    return lk, rk, residual
+def _join_op(cls, left, lv, preds):
+    """``left ⋈ Scan(lv)`` as the executor's probe table will run it: local
+    predicates pushed into the scan, equi keys, residual filters.  With no
+    ``left`` (the first level placed) it is the bare scan."""
+    local, keys, residual = _exec.split_preds(preds, lv.slot)
+    scan = ir.Scan(lv.rel, lv.arity, lv.slot, lv.var.name, tuple(local))
+    if left is None:
+        return scan
+    return cls(
+        left,
+        scan,
+        tuple(other for other, _ in keys),
+        tuple(mine for _, mine in keys),
+        tuple(residual),
+    )
 
 
 def _agree(value, expected) -> bool:

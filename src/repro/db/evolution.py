@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-import networkx as nx
-
 from repro.errors import CheckabilityError
 from repro.db.state import State
 
@@ -88,37 +86,38 @@ class EvolutionGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.MultiDiGraph()
+        # state -> its outgoing (target, label) arcs, both in insertion order.
+        self._arcs: dict[State, list[tuple[State, str]]] = {}
 
     # -- construction --------------------------------------------------------
 
     def add_state(self, state: State) -> State:
-        self._graph.add_node(state)
+        self._arcs.setdefault(state, [])
         return state
 
     def add_transition(self, source: State, target: State, label: str) -> Transition:
         self.add_state(source)
         self.add_state(target)
-        self._graph.add_edge(source, target, label=label)
+        self._arcs[source].append((target, label))
         return Transition(((label, source, target),))
 
     # -- interrogation --------------------------------------------------------
 
     def states(self) -> list[State]:
-        return list(self._graph.nodes)
+        return list(self._arcs)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._arcs)
 
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(arcs) for arcs in self._arcs.values())
 
     def direct_transitions_from(self, state: State) -> list[Transition]:
         """The single-arc transitions leaving ``state``."""
-        result = []
-        for _, target, data in self._graph.out_edges(state, data=True):
-            result.append(Transition(((data.get("label", "tx"), state, target),)))
-        return result
+        return [
+            Transition(((label, state, target),))
+            for target, label in self._arcs.get(state, ())
+        ]
 
     def transitions_from(
         self, state: State, max_length: int | None = None
@@ -146,7 +145,7 @@ class EvolutionGraph:
                     composed = tr.then(ext)
                     if composed is not None:
                         next_frontier.append(composed)
-            if max_length is None and length > len(self._graph):
+            if max_length is None and length > len(self._arcs):
                 raise CheckabilityError(
                     "unbounded transition enumeration over a cyclic evolution "
                     "graph; pass max_length"
@@ -155,13 +154,33 @@ class EvolutionGraph:
             length += 1
 
     def reachable(self, source: State, target: State) -> bool:
-        """Is ``target`` reachable from ``source`` (reflexively)?"""
+        """Is ``target`` reachable from ``source`` (reflexively)?  Both
+        must be states of the graph."""
         if source == target:
             return True
-        return nx.has_path(self._graph, source, target)
+        self._arcs_of(target)
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            for successor in self.successors(frontier.pop()):
+                if successor == target:
+                    return True
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+        return False
 
     def successors(self, state: State) -> list[State]:
-        return list(self._graph.successors(state))
+        """The distinct states one arc away, in first-arc order."""
+        return list(dict.fromkeys(t for t, _ in self._arcs_of(state)))
+
+    def _arcs_of(self, state: State) -> list[tuple[State, str]]:
+        try:
+            return self._arcs[state]
+        except KeyError:
+            raise CheckabilityError(
+                "state is not in the evolution graph"
+            ) from None
 
 
 @dataclass

@@ -233,14 +233,21 @@ class Database:
         — membership-narrowed set formers, ``exists`` chains, guarded
         ``forall`` constraints, aggregates — to hash-join plans ordered by
         per-relation cardinality statistics, which this engine maintains
-        incrementally from each commit's physical delta.  Everything
-        observable is replicated: values (including canonical enumeration
-        order), the ``_touch`` read sets that drive query-cache digests and
-        optimistic-conflict validation, budget enforcement, and error
-        contracts; inexpressible nodes silently fall back to the tree walk
-        (DESIGN.md §7.6).  Constraint checking, :meth:`query`, and server
-        ``QUERY`` evaluation all go through the same interpreter, so all
-        three accelerate.
+        incrementally from each commit's physical delta.  Values
+        (including canonical enumeration order) and budget enforcement are
+        replicated; errors are the tree walk's own, because a node whose
+        predicates could raise on the current column types is handed back
+        to it.  The ``_touch`` read sets that drive query-cache digests
+        and optimistic-conflict validation follow one contract: a plan
+        reports the relations it names plus the owners of its parameters —
+        a superset of the tree walk's reads, so cached answers and
+        validation stay sound, at the price of a spurious invalidation or
+        conflict when a named relation sat behind an empty prefix, or when
+        a parameter no row needed was a dead tuple, whose dereference
+        reads every relation (DESIGN.md §7.6).  Inexpressible nodes
+        silently fall back to the tree walk.  Constraint checking,
+        :meth:`query`, and server ``QUERY`` evaluation all go through the
+        same interpreter, so all three accelerate.
 
         ``verify=True`` cross-checks every planned answer against the tree
         walk and raises :class:`~repro.errors.PlannerMismatch` on any

@@ -31,12 +31,14 @@ makes correctness independent of invalidation — invalidation is hygiene
 
 The cache is **planner-agnostic by construction**: nothing here knows
 whether an answer came from the tree walk or from a compiled
-relational-algebra plan.  That works because the planner's
-touch-equivalence invariant (DESIGN §7.6) guarantees bit-identical read
-sets — and therefore identical ``touched_digest`` values and identical
-cache entries — planner on or off, across the whole compilable fragment
-(union plans, multi-conjunct quantifier chains, foreach domains
-included; ``tests/test_algebra_touch.py`` pins the digest identity).
+relational-algebra plan.  Each entry stores *its own* read set and proves
+validity with a digest over exactly those relations, so any sound
+superset of what the answer depends on works — and that is the planner's
+read-set contract (DESIGN §7.6): a plan reports every relation it names,
+which covers everything the tree walk would have read.  A planned entry
+may therefore name a relation the tree walk never reached; the only cost
+is that a write to it invalidates the entry needlessly
+(``tests/test_algebra_touch.py`` pins the soundness direction).
 
 >>> from repro.domains import make_domain
 >>> from repro.logic import builder as b
@@ -55,6 +57,7 @@ included; ``tests/test_algebra_touch.py`` pins the digest identity).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,8 +115,9 @@ class QueryCache:
     the *given* state is re-established on every lookup from the state's
     relation signature plus the content digest of the entry's read set, so
     querying an old snapshot, a concurrent worker's base state, or the live
-    head are all sound.  Not thread-safe; the engine uses it from the
-    commit-serialized path.
+    head are all sound.  Thread-safe: one lock guards the table and its
+    counters; evaluation and digest checks run outside it, so two threads
+    missing the same key may both evaluate (the later insert wins).
     """
 
     def __init__(
@@ -136,6 +140,7 @@ class QueryCache:
         self.metrics = metrics
         self._entries: dict[tuple[str, bytes], _Entry] = {}
         self._readers: dict[str, set[tuple[str, bytes]]] = {}
+        self._lock = threading.Lock()
 
     # -- the table ---------------------------------------------------------
 
@@ -158,7 +163,8 @@ class QueryCache:
         if not self.enabled:
             return program.query(state, *args, interpreter=interpreter)
         key = (program.name, canonical_bytes(encode_args(tuple(args))))
-        entry = self._entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
         if (
             entry is not None
             and entry.program == program
@@ -166,11 +172,14 @@ class QueryCache:
             and entry.digest
             == touched_digest(state, entry.reads, include_allocator=False)
         ):
-            self.stats.hits += 1
+            with self._lock:
+                self.stats.hits += 1
+                # LRU: re-insertion moves the key to the young end (unless
+                # an invalidation dropped it since the lookup above).
+                current = self._entries.pop(key, None)
+                if current is not None:
+                    self._entries[key] = current
             self._count("repro_eval_cache_hits_total", "Query cache hits")
-            # LRU: re-insertion moves the key to the young end.
-            del self._entries[key]
-            self._entries[key] = entry
             if self.verify:
                 fresh = program.query(state, *args, interpreter=interpreter)
                 if fresh != entry.value:
@@ -188,24 +197,21 @@ class QueryCache:
                     raise CacheMismatch(detail)
             return entry.value
 
-        self.stats.misses += 1
+        with self._lock:
+            self.stats.misses += 1
         self._count("repro_eval_cache_misses_total", "Query cache misses")
         tracker = TrackingInterpreter.wrapping(interpreter)
         value = program.query(state, *args, interpreter=tracker)
-        if entry is not None:
-            self._drop(key)
-        self._insert(
-            key,
-            _Entry(
-                program=program,
-                reads=frozenset(tracker.reads),
-                schema_sig=_state_sig(state),
-                digest=touched_digest(
-                    state, tracker.reads, include_allocator=False
-                ),
-                value=value,
-            ),
+        made = _Entry(
+            program=program,
+            reads=frozenset(tracker.reads),
+            schema_sig=_state_sig(state),
+            digest=touched_digest(state, tracker.reads, include_allocator=False),
+            value=value,
         )
+        with self._lock:
+            self._drop(key)
+            self._insert(key, made)
         return value
 
     def invalidate(self, touched: frozenset[str] | set[str], *, structural: bool = False) -> int:
@@ -219,11 +225,12 @@ class QueryCache:
         if structural:
             return self.clear()
         doomed: set[tuple[str, bytes]] = set()
-        for name in touched:
-            doomed.update(self._readers.get(name, ()))
-        for key in doomed:
-            self._drop(key)
-        self.stats.invalidations += len(doomed)
+        with self._lock:
+            for name in touched:
+                doomed.update(self._readers.get(name, ()))
+            for key in doomed:
+                self._drop(key)
+            self.stats.invalidations += len(doomed)
         if doomed:
             self._count(
                 "repro_eval_cache_invalidations_total",
@@ -235,11 +242,12 @@ class QueryCache:
 
     def clear(self) -> int:
         """Empty the table (structural commits, encoding registration)."""
-        n = len(self._entries)
-        self._entries.clear()
-        self._readers.clear()
-        self.stats.clears += 1
-        self.stats.invalidations += n
+        with self._lock:
+            n = len(self._entries)
+            self._entries.clear()
+            self._readers.clear()
+            self.stats.clears += 1
+            self.stats.invalidations += n
         if n:
             self._count(
                 "repro_eval_cache_invalidations_total",
@@ -255,6 +263,7 @@ class QueryCache:
     # -- internals ---------------------------------------------------------
 
     def _insert(self, key: tuple[str, bytes], entry: _Entry) -> None:
+        """Caller holds the lock (as for :meth:`_drop`)."""
         self._entries[key] = entry
         for name in entry.reads:
             self._readers.setdefault(name, set()).add(key)

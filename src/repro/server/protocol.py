@@ -66,6 +66,7 @@ from repro.errors import (
 )
 from repro.db.values import DBTuple, RelationId, TupleSet
 from repro.storage.serialize import canonical_bytes
+from repro.transactions.interpreter import _tuple_order_key
 
 PROTOCOL_VERSION = 1
 
@@ -174,7 +175,7 @@ def value_to_doc(value: object) -> dict:
             "arity": value.arity,
             "rows": [
                 [t.tid, list(t.values)]
-                for t in sorted(value, key=lambda t: t.tid)
+                for t in sorted(value, key=_tuple_order_key)
             ],
         }
     if isinstance(value, RelationId):
@@ -184,6 +185,11 @@ def value_to_doc(value: object) -> dict:
     return {"k": "atom", "v": value}
 
 
+def _tid(raw) -> "int | None":
+    """A tuple identifier off the wire; constructed tuples carry none."""
+    return None if raw is None else int(raw)
+
+
 def value_from_doc(doc: dict) -> object:
     """Rebuild a query result from :func:`value_to_doc` output."""
     try:
@@ -191,10 +197,10 @@ def value_from_doc(doc: dict) -> object:
         if kind == "atom":
             return doc["v"]
         if kind == "tuple":
-            return DBTuple(int(doc["tid"]), tuple(doc["values"]))
+            return DBTuple(_tid(doc["tid"]), tuple(doc["values"]))
         if kind == "set":
             tuples = [
-                DBTuple(int(tid), tuple(values)) for tid, values in doc["rows"]
+                DBTuple(_tid(tid), tuple(values)) for tid, values in doc["rows"]
             ]
             return TupleSet.of(int(doc["arity"]), tuples)
         if kind == "rid":

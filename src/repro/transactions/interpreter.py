@@ -153,10 +153,11 @@ class Interpreter:
     :meth:`repro.engine.Database.enable_planner`) to answer set formers,
     quantifiers, and aggregates from relational-algebra plans.  Each hook
     returns ``(handled, value)``; ``(False, None)`` falls back to the tree
-    walk here, so the planner is a pure accelerator — values, read sets
-    (``_touch``), budget enforcement, and error contracts are replicated
-    (DESIGN.md §7.6).  ``None`` (the default) costs one attribute check
-    per hook site."""
+    walk here, so the planner is a pure accelerator — values, budget
+    enforcement, and error classes are replicated, and the read set it
+    reports through ``_touch`` is a superset of the tree walk's, bounded by
+    the relations the plan names (DESIGN.md §7.6).  ``None`` (the default)
+    costs one attribute check per hook site."""
 
     # ======================================================================
     # w:e — object evaluation

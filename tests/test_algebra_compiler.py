@@ -3,11 +3,11 @@ exactly why the rest are refused.
 
 The compilable fragment is deliberately narrow (membership-narrowed
 conjunctive chains with trailing quantifier sequences, union
-disjunctions, and foreach domains), because everything the compiler
-accepts must be *touch-exact* against the tree walk — every
-``Incompilable`` reason below marks a shape where exactness would be
-expensive or impossible to guarantee, so the planner silently falls back
-instead.
+disjunctions, and foreach domains): every relation an accepted shape
+reads is named by a membership conjunct, so its read set is computable
+from the plan alone — every ``Incompilable`` reason below marks a shape
+the executor has no plan form for yet, so the planner silently falls
+back instead.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ class TestCompilableShapes:
         q = compile_set_former(former)
         assert isinstance(q, ChainQuery) and q.kind == "setformer"
         assert [(lv.rel, lv.slot) for lv in q.levels] == [("EMP", 0)]
-        assert q.levels[0].group_end == 0
-        assert len(q.preds) == 1 and q.preds[0].eff_level == 0
+        assert len(q.preds) == 1
         assert q.sub is None
         assert q.result is not None and not q.result.whole
         assert q.result.element_arity == 1
@@ -78,10 +77,7 @@ class TestCompilableShapes:
         )
         q = compile_set_former(former)
         assert [lv.rel for lv in q.levels] == ["EMP", "ALLOC"]
-        # Set-former levels share one scope group: the join predicate is
-        # only checked at the leaf, but the domains narrow unconditionally.
-        assert [lv.group_end for lv in q.levels] == [1, 1]
-        assert q.preds[0].eff_level == 1
+        assert len(q.preds) == 1
 
     def test_trailing_exists_flattens_into_its_own_group(self, d):
         e, a = d.emp.var("e"), d.alloc.var("a")
@@ -95,9 +91,7 @@ class TestCompilableShapes:
         )
         q = compile_set_former(former)
         assert [lv.rel for lv in q.levels] == ["EMP", "ALLOC"]
-        # The inner exists opens a new group: its domain only narrows for
-        # candidates that survive the outer conjunction.
-        assert [lv.group_end for lv in q.levels] == [0, 1]
+        assert [lv.slot for lv in q.levels] == [0, 1]
 
     def test_trailing_not_exists_becomes_anti_join(self, d):
         e, a = d.emp.var("e"), d.alloc.var("a")
@@ -147,9 +141,21 @@ class TestCompilableShapes:
         )
         q = compile_set_former(former)
         assert len(q.preds) == 1
-        p = q.preds[0].pred
+        p = q.preds[0]
         assert isinstance(p, Cmp) and p.op == "le"
         assert isinstance(p.lhs, Arith) and p.lhs.op == "+"
+        # The plan may only run where salary holds integers.
+        assert q.checks == (("column", ("EMP", 3)),)
+
+    def test_parameter_operands_become_run_time_checks(self, d):
+        e, n = d.emp.var("e"), b.atom_var("n")
+        cond = b.land(
+            b.member(e, d.emp.rel()),
+            b.eq(d.emp.attr("e-dept", e), n),  # equality never raises
+            b.lt(d.emp.attr("age", e), n),
+        )
+        q = compile_exists(b.exists(e, cond))
+        assert [need for need, _ in q.checks] == ["column", "int"]
 
     def test_pure_or_compiles_to_disjunction_predicate(self, d):
         e = d.emp.var("e")
@@ -166,7 +172,7 @@ class TestCompilableShapes:
         )
         q = compile_set_former(former)
         assert len(q.preds) == 1
-        p = q.preds[0].pred
+        p = q.preds[0]
         assert isinstance(p, Disj) and len(p.branches) == 2
         assert all(isinstance(c, Cmp) for br in p.branches for c in br)
 
@@ -223,7 +229,7 @@ class TestCompilableShapes:
         )
         q = compile_set_former(former)
         assert [lv.rel for lv in q.levels] == ["EMP", "ALLOC", "ALLOC"]
-        assert [lv.group_end for lv in q.levels] == [0, 1, 2]
+        assert [lv.slot for lv in q.levels] == [0, 1, 2]
 
     def test_trailing_exists_then_not_exists(self, d):
         e = d.emp.var("e")
@@ -273,6 +279,26 @@ class TestIncompilableReasons:
         with pytest.raises(Incompilable) as exc:
             fn(node)
         assert fragment in exc.value.reason, exc.value.reason
+
+    def test_constant_that_can_only_raise(self, d):
+        """A join would test the comparison on other rows than the nested
+        enumeration does; the tree walk decides when it raises."""
+        e = d.emp.var("e")
+
+        def over_salary(pred):
+            return b.exists(e, b.land(b.member(e, d.emp.rel()), pred))
+
+        salary = d.emp.attr("salary", e)
+        self.refuses(
+            compile_exists,
+            over_salary(b.lt(salary, b.atom("zz"))),
+            "where an integer is required",
+        )
+        self.refuses(
+            compile_exists,
+            over_salary(b.eq(salary, b.plus(b.atom("x"), b.atom(1)))),
+            "where an integer is required",
+        )
 
     def test_bound_variable_not_tuple_sorted(self, d):
         x = b.atom_var("x")
@@ -355,8 +381,8 @@ class TestIncompilableReasons:
 
     def test_forall_guard_membership_must_come_first(self, d):
         """The tree walk short-circuits the guard conjunction per
-        candidate, so a leading value predicate can hide the membership
-        read entirely — touch-exactness demands membership first."""
+        candidate, so a leading value predicate would run (and could
+        raise) on candidates outside the guard relation."""
         e, a = d.emp.var("e"), d.alloc.var("a")
         f = b.forall(
             e,
@@ -439,8 +465,8 @@ class TestIncompilableReasons:
 
     def test_or_swallowed_membership_falls_back(self, d):
         """``member(e, EMP) or P`` can no longer narrow the domain — the
-        tree walk would enumerate the whole arity class, a different
-        touch regime, so the compiler refuses."""
+        tree walk would enumerate the whole arity class, which no plan
+        level models, so the compiler refuses."""
         e = d.emp.var("e")
         former = b.setformer(
             d.emp.attr("e-name", e),

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro import Database, PlannerMismatch, query
+from repro.db.state import state_from_rows
 from repro.domains import make_domain
 from repro.eval.quarantine import QuarantineWarning
 from repro.logic import builder as b
@@ -126,7 +127,7 @@ class TestAnswers:
         planner = db.enable_planner(verify=True)
         e = domain.emp.var("e")
         # No membership conjunct: the tree walk enumerates the full arity
-        # class, a touch regime the compiler refuses to replicate.
+        # class, which the compiler has no plan level for.
         unnarrowed = query(
             "unnarrowed",
             (),
@@ -271,6 +272,139 @@ class TestWidenedFragment:
         assert db.current.relations["EMP"] == plain.current.relations["EMP"]
         assert planner.exec_count >= 1
         assert planner.mismatch_count == 0
+
+
+class TestErrorParity:
+    """A join evaluates predicates on other row combinations than the
+    nested enumeration, so a predicate that can raise on the current
+    column types goes back to the tree walk (``compiler._totality_checks``):
+    planned evaluation raises exactly when the tree walk raises."""
+
+    ILL_TYPED = b.plus(b.atom("x"), b.atom(1))  # raises when evaluated
+
+    def both(self, domain, rows, node, *, is_formula=False):
+        """(tree-walk outcome, planned outcome, planner).  The planned side
+        runs bare and under ``verify`` (whose oracle would mask a planner
+        that returns a value where the tree walk raises)."""
+        state = state_from_rows(domain.schema, rows)
+        outcomes = []
+        for verify in (None, False, True):
+            db = Database(domain.schema, initial=state)
+            planner = None if verify is None else db.enable_planner(verify=verify)
+            interp = db.interpreter
+            run = interp.eval_formula if is_formula else interp.eval_object
+            try:
+                outcomes.append(run(db.current, node, None))
+            except repro.EvaluationError as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[1] == outcomes[2]
+        return outcomes[0], outcomes[1], planner
+
+    def rows(self, domain, **override):
+        rows = {
+            "EMP": [("alice", "cs", 120, 35, "M"), ("bob", "cs", 100, 28, "S")],
+            "DEPT": [("cs", "knuth", "b1")],
+            "PROJ": [("db", 200)],
+            "ALLOC": [("alice", "db", 60), ("bob", "db", 100)],
+            "SKILL": [("alice", 1)],
+        }
+        rows.update(override)
+        return rows
+
+    def test_ill_typed_predicate_over_an_empty_domain_does_not_raise(self, domain):
+        e = domain.emp.var("e")
+        bad = b.eq(domain.emp.attr("salary", e), self.ILL_TYPED)
+        former = b.setformer(
+            domain.emp.attr("e-name", e), e, b.land(b.member(e, domain.emp.rel()), bad)
+        )
+        empty = self.rows(domain, EMP=[], ALLOC=[], SKILL=[])
+        expected, got, _ = self.both(domain, empty, former)
+        assert len(expected) == 0 and got == expected
+
+    def test_ill_typed_forall_guard_over_an_empty_domain_holds(self, domain):
+        e = domain.emp.var("e")
+        formula = b.forall(
+            e,
+            b.implies(
+                b.land(
+                    b.member(e, domain.emp.rel()),
+                    b.eq(domain.emp.attr("salary", e), self.ILL_TYPED),
+                ),
+                b.eq(domain.emp.attr("e-dept", e), b.atom("cs")),
+            ),
+        )
+        empty = self.rows(domain, EMP=[], ALLOC=[], SKILL=[])
+        assert self.both(domain, empty, formula, is_formula=True)[:2] == (True, True)
+
+    def test_forall_body_behind_a_failed_conjunct_is_never_evaluated(self, domain):
+        e, a = domain.emp.var("e"), domain.alloc.var("a")
+        formula = b.forall(
+            e,
+            b.implies(
+                b.member(e, domain.emp.rel()),
+                b.land(
+                    b.eq(domain.emp.attr("e-dept", e), b.atom("nope")),
+                    b.exists(
+                        a,
+                        b.land(
+                            b.member(a, domain.alloc.rel()),
+                            b.eq(
+                                domain.alloc.attr("a-emp", a),
+                                domain.emp.attr("e-name", e),
+                            ),
+                            b.eq(domain.alloc.attr("perc", a), self.ILL_TYPED),
+                        ),
+                    ),
+                ),
+            ),
+        )
+        outcome = self.both(domain, self.rows(domain), formula, is_formula=True)
+        assert outcome[:2] == (False, False)
+
+    def test_error_behind_an_empty_join_is_still_raised(self, domain):
+        """The tree walk tests ``salary < 'zz'`` on the first employee,
+        before the ``exists`` that no allocation satisfies."""
+        e, a = domain.emp.var("e"), domain.alloc.var("a")
+        former = b.setformer(
+            domain.emp.attr("e-name", e),
+            e,
+            b.land(
+                b.member(e, domain.emp.rel()),
+                b.lt(domain.emp.attr("salary", e), b.atom("zz")),
+                b.exists(
+                    a,
+                    b.land(
+                        b.member(a, domain.alloc.rel()),
+                        b.eq(domain.alloc.attr("a-emp", a), b.atom("nobody")),
+                    ),
+                ),
+            ),
+        )
+        expected, got, _ = self.both(domain, self.rows(domain), former)
+        assert expected[0] == "raised" and got == expected
+
+    def test_short_circuit_before_an_ill_typed_row_is_kept(self, domain):
+        """``exists`` stops at alice; bob's non-numeric age is never
+        compared.  A scan of the whole column would raise."""
+        e = domain.emp.var("e")
+        formula = b.exists(
+            e,
+            b.land(
+                b.member(e, domain.emp.rel()),
+                b.ge(domain.emp.attr("age", e), b.atom(1)),
+            ),
+        )
+        mixed = self.rows(
+            domain,
+            EMP=[("alice", "cs", 120, 35, "M"), ("bob", "cs", 100, "old", "S")],
+        )
+        expected, got, planner = self.both(domain, mixed, formula, is_formula=True)
+        assert (expected, got) == (True, True)
+        assert planner.exec_count == 0 and planner.fallback_count == 1
+        # The same query over integer ages is planned.
+        assert self.both(domain, self.rows(domain), formula, is_formula=True)[
+            2
+        ].exec_count == 1
 
 
 class TestNegativeCache:

@@ -1,25 +1,38 @@
-"""Touch-equivalence: the planner must report *exactly* the relation
-read set the tree walk would, on every shape — including the empty-domain
-and all-rows-filtered corners where a naive executor over- or
-under-touches.
+"""The planner's read-set contract (DESIGN.md §7.6), case by case.
 
-Why this is load-bearing (DESIGN.md §7.6): the read set feeds the
-:class:`QueryCache` invalidation digest and the optimistic scheduler's
-conflict validation.  An under-touch means a cached answer survives a
-commit that should have killed it (a wrong answer later); an over-touch
-means spurious invalidations and conflicts (correct but slow, and a
-different digest — so cache keys stop matching across planner on/off).
+A plan reports the relations it *names* plus the owners of the parameters
+it dereferences.  Per query shape — including the empty-domain and
+all-rows-filtered corners where the tree walk stops early — that must be
+
+* a **superset** of the tree walk's reads: the read set feeds the
+  :class:`QueryCache` validity digest and the optimistic scheduler's
+  conflict validation, so an under-report means a cached answer survives a
+  commit that should have killed it, or a stale transaction commits;
+* a **subset** of a bound computable from the plan alone
+  (``plan_relations ∪ param_owners ∪ arity_class``) — which is what stops
+  "touch everything" from passing.
+
+Values must be equal throughout; only the reads may differ, and only by
+relations the plan names behind a prefix that happened to be empty.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro import Database, query
+from repro import Database, RetryPolicy, query
+from repro.algebra import Scan
 from repro.concurrent.tracking import TrackingInterpreter
 from repro.db.state import state_from_rows
+from repro.db.values import DBTuple
 from repro.domains import make_domain
 from repro.logic import builder as b
+from repro.logic.formulas import Forall
+from repro.logic.symbols import SymbolKind
+from repro.logic.terms import App
+from repro.transactions.interpreter import Env
 
 
 @pytest.fixture()
@@ -43,23 +56,73 @@ def state_with(d, **rows):
     return state_from_rows(d.schema, base)
 
 
-def reads_of(d, state, node, *, planner, is_formula=False):
+def read_bound(db, node, env=None) -> frozenset:
+    """The contract's upper bound, from the explain tree alone: every
+    scanned relation, the arity class of a ``forall`` variable, and the
+    owners of tuple parameters (every relation when the tuple is dead)."""
+    state = db.current
+    target = node
+    if isinstance(node, App) and node.symbol.kind is SymbolKind.ARITHMETIC:
+        target = node.args[0]  # an aggregate plans its set-valued child
+    names: set[str] = set()
+    planner = db.interpreter.planner
+    pending = [planner.plan(target, state, db.interpreter).root]
+    while pending:
+        op = pending.pop()
+        if isinstance(op, Scan):
+            names.add(op.rel)
+        pending.extend(
+            sub
+            for sub in (getattr(op, a, None) for a in ("left", "right", "child"))
+            if sub is not None
+        )
+    if isinstance(node, Forall):
+        names.update(
+            n
+            for n in state.relation_names()
+            if state.relation(n).arity == node.var.sort.arity
+        )
+    for value in (env.bindings.values() if env is not None else ()):
+        if isinstance(value, DBTuple) and value.tid is not None:
+            owner = state.owner_of(value.tid)
+            names.update([owner] if owner else state.relation_names())
+    return frozenset(names)
+
+
+def evaluate(d, state, node, *, planner, is_formula=False, env=None):
     db = Database(d.schema, initial=state)
     if planner:
         db.enable_planner()
     tracking = TrackingInterpreter.wrapping(db.interpreter)
     if is_formula:
-        tracking.eval_formula(db.current, node)
+        value = tracking.eval_formula(db.current, node, env)
     else:
-        tracking.eval_object(db.current, node)
-    return frozenset(tracking.reads)
+        value = tracking.eval_object(db.current, node, env)
+    return db, value, frozenset(tracking.reads)
 
 
-def assert_same_reads(d, state, node, *, is_formula=False):
-    slow = reads_of(d, state, node, planner=False, is_formula=is_formula)
-    fast = reads_of(d, state, node, planner=True, is_formula=is_formula)
-    assert fast == slow, f"planner reads {fast}, tree walk reads {slow}"
-    return slow
+def check_contract(d, state, node, *, is_formula=False, env=None):
+    """``tree_walk_reads ⊆ planned_reads ⊆ bound`` and equal values;
+    returns ``(tree_walk_reads, planned_reads)``."""
+    _, expected, slow = evaluate(
+        d, state, node, planner=False, is_formula=is_formula, env=env
+    )
+    db, got, fast = evaluate(
+        d, state, node, planner=True, is_formula=is_formula, env=env
+    )
+    assert db.interpreter.planner.exec_count >= 1, "the case must be planned"
+    assert type(got) is type(expected) and got == expected
+    bound = read_bound(db, node, env)
+    assert slow <= fast, f"planner under-reads: {sorted(slow - fast)}"
+    assert fast <= bound, f"planner reads past its plan: {sorted(fast - bound)}"
+    return slow, fast
+
+
+def alloc_of(d, a, e):
+    return b.land(
+        b.member(a, d.alloc.rel()),
+        b.eq(d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)),
+    )
 
 
 def join_former(d):
@@ -77,13 +140,7 @@ def join_former(d):
 
 def exists_former(d, negate=False):
     e, a = d.emp.var("e"), d.alloc.var("a")
-    inner = b.exists(
-        a,
-        b.land(
-            b.member(a, d.alloc.rel()),
-            b.eq(d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)),
-        ),
-    )
+    inner = b.exists(a, alloc_of(d, a, e))
     return b.setformer(
         d.emp.attr("e-name", e),
         e,
@@ -91,90 +148,28 @@ def exists_former(d, negate=False):
     )
 
 
-def allocated_forall(d):
+def filtered_exists_former(d):
+    """A predicate kills every outer candidate before the inner exists."""
     e, a = d.emp.var("e"), d.alloc.var("a")
-    return b.forall(
+    return b.setformer(
+        d.emp.attr("e-name", e),
         e,
-        b.implies(
+        b.land(
             b.member(e, d.emp.rel()),
-            b.exists(
-                a,
-                b.land(
-                    b.member(a, d.alloc.rel()),
-                    b.eq(d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)),
-                ),
-            ),
+            b.eq(d.emp.attr("e-dept", e), b.atom("no-such-dept")),
+            b.exists(a, alloc_of(d, a, e)),
         ),
     )
 
 
-class TestSetFormers:
-    def test_join_touches_both_relations(self, d):
-        reads = assert_same_reads(d, state_with(d), join_former(d))
-        assert {"EMP", "ALLOC"} <= reads
-
-    def test_empty_first_level_skips_second(self, d):
-        """Tree-walk enumeration never reaches ALLOC when EMP is empty;
-        the planner must not touch it either."""
-        reads = assert_same_reads(d, state_with(d, EMP=[]), join_former(d))
-        assert "ALLOC" not in reads
-
-    def test_set_former_group_touches_even_when_preds_fail(self, d):
-        """Within one set-former group, domains narrow unconditionally:
-        ALLOC is read even when no EMP row can ever join."""
-        state = state_with(d, ALLOC=[("nobody", "apollo", 60)])
-        reads = assert_same_reads(d, state, join_former(d))
-        assert {"EMP", "ALLOC"} <= reads
-
-    def test_nested_exists_gates_on_surviving_prefix(self, d):
-        """The inner exists domain narrows per *surviving* outer row: when
-        a predicate kills every outer candidate, ALLOC stays untouched."""
-        e, a = d.emp.var("e"), d.alloc.var("a")
-        former = b.setformer(
-            d.emp.attr("e-name", e),
-            e,
-            b.land(
-                b.member(e, d.emp.rel()),
-                b.eq(d.emp.attr("e-dept", e), b.atom("no-such-dept")),
-                b.exists(
-                    a,
-                    b.land(
-                        b.member(a, d.alloc.rel()),
-                        b.eq(
-                            d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)
-                        ),
-                    ),
-                ),
-            ),
-        )
-        reads = assert_same_reads(d, state_with(d), former)
-        assert "ALLOC" not in reads
-
-    def test_nested_exists_touches_when_prefix_survives(self, d):
-        reads = assert_same_reads(d, state_with(d), exists_former(d))
-        assert {"EMP", "ALLOC"} <= reads
-
-    def test_not_exists_anti_join(self, d):
-        assert_same_reads(d, state_with(d), exists_former(d, negate=True))
-        assert_same_reads(
-            d, state_with(d, ALLOC=[]), exists_former(d, negate=True)
-        )
-
-
-def union_former(d, quantified_first=False):
-    """``member(e, EMP) ∧ (e-dept = cs ∨ ∃a alloc-of(e))`` — or flipped."""
+def union_former(d, quantified_first=False, negate=False):
+    """``member(e, EMP) ∧ (e-dept = cs ∨ [¬]∃a alloc-of(e))`` — or flipped."""
     e, a = d.emp.var("e"), d.alloc.var("a")
     pure = b.eq(d.emp.attr("e-dept", e), b.atom("cs"))
-    quant = b.exists(
-        a,
-        b.land(
-            b.member(a, d.alloc.rel()),
-            b.eq(d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)),
-        ),
-    )
-    disjunction = (
-        b.lor(quant, pure) if quantified_first else b.lor(pure, quant)
-    )
+    quant = b.exists(a, alloc_of(d, a, e))
+    if negate:
+        quant = b.lnot(quant)
+    disjunction = b.lor(quant, pure) if quantified_first else b.lor(pure, quant)
     return b.setformer(
         d.emp.attr("e-name", e),
         e,
@@ -182,113 +177,181 @@ def union_former(d, quantified_first=False):
     )
 
 
-class TestUnionPlans:
-    """Branch gating mirrors the tree walk's ``any`` short-circuit: a
-    later branch's inner relation narrows only for rows every earlier
-    branch rejected."""
-
-    def test_union_touches_both_when_some_row_needs_second_branch(self, d):
-        # bob is in math, so the exists branch runs for him.
-        reads = assert_same_reads(d, state_with(d), union_former(d))
-        assert {"EMP", "ALLOC"} <= reads
-
-    def test_second_branch_skipped_when_first_accepts_every_row(self, d):
-        state = state_with(d, EMP=[("alice", "cs", 100, 30, "S")])
-        reads = assert_same_reads(d, state, union_former(d))
-        assert "ALLOC" not in reads
-
-    def test_quantified_first_branch_always_runs(self, d):
-        state = state_with(d, EMP=[("alice", "cs", 100, 30, "S")])
-        reads = assert_same_reads(
-            d, state, union_former(d, quantified_first=True)
-        )
-        assert "ALLOC" in reads
-
-    def test_empty_outer_skips_every_branch(self, d):
-        reads = assert_same_reads(d, state_with(d, EMP=[]), union_former(d))
-        assert "ALLOC" not in reads
-
-    def test_negated_union_branch(self, d):
-        e, a = d.emp.var("e"), d.alloc.var("a")
-        former = b.setformer(
-            d.emp.attr("e-name", e),
-            e,
-            b.land(
-                b.member(e, d.emp.rel()),
-                b.lor(
-                    b.eq(d.emp.attr("e-dept", e), b.atom("cs")),
-                    b.lnot(
-                        b.exists(
-                            a,
-                            b.land(
-                                b.member(a, d.alloc.rel()),
-                                b.eq(
-                                    d.alloc.attr("a-emp", a),
-                                    d.emp.attr("e-name", e),
-                                ),
-                            ),
-                        )
-                    ),
+def two_exists_former(d):
+    e, a, s = d.emp.var("e"), d.alloc.var("a"), d.skill.var("s")
+    return b.setformer(
+        d.emp.attr("e-name", e),
+        e,
+        b.land(
+            b.member(e, d.emp.rel()),
+            b.exists(a, alloc_of(d, a, e)),
+            b.exists(
+                s,
+                b.land(
+                    b.member(s, d.skill.rel()),
+                    b.eq(d.skill.attr("s-emp", s), d.emp.attr("e-name", e)),
                 ),
             ),
+        ),
+    )
+
+
+def arithmetic_former(d):
+    e = d.emp.var("e")
+    return b.setformer(
+        d.emp.attr("e-name", e),
+        e,
+        b.land(
+            b.member(e, d.emp.rel()),
+            b.le(b.plus(d.emp.attr("salary", e), b.atom(5)), b.atom(100)),
+        ),
+    )
+
+
+def allocated_forall(d):
+    e, a = d.emp.var("e"), d.alloc.var("a")
+    return b.forall(
+        e, b.implies(b.member(e, d.emp.rel()), b.exists(a, alloc_of(d, a, e)))
+    )
+
+
+ALICE = [("alice", "cs", 100, 30, "S")]
+NOBODY = [("nobody", "apollo", 60)]
+
+# (id, node builder, state overrides, relations the tree walk must read).
+# The overrides include every corner where the tree walk short-circuits
+# before a relation the plan names: an empty first level, a predicate or
+# join that filters every outer row, a union branch no row reaches.
+SET_FORMER_CASES = [
+    ("join", join_former, {}, {"EMP", "ALLOC"}),
+    ("join-empty-first-level", join_former, {"EMP": []}, {"EMP"}),
+    ("join-no-row-joins", join_former, {"ALLOC": NOBODY}, {"EMP", "ALLOC"}),
+    ("exists-prefix-filtered", filtered_exists_former, {}, {"EMP"}),
+    ("exists", exists_former, {}, {"EMP", "ALLOC"}),
+    ("not-exists", lambda d: exists_former(d, negate=True), {}, {"EMP", "ALLOC"}),
+    (
+        "not-exists-empty-inner",
+        lambda d: exists_former(d, negate=True),
+        {"ALLOC": []},
+        {"EMP", "ALLOC"},
+    ),
+    ("union", union_former, {}, {"EMP", "ALLOC"}),
+    ("union-first-branch-accepts-all", union_former, {"EMP": ALICE}, {"EMP"}),
+    (
+        "union-quantified-first",
+        lambda d: union_former(d, quantified_first=True),
+        {"EMP": ALICE},
+        {"EMP", "ALLOC"},
+    ),
+    ("union-empty-outer", union_former, {"EMP": []}, {"EMP"}),
+    ("union-negated", lambda d: union_former(d, negate=True), {}, {"EMP", "ALLOC"}),
+    (
+        "union-negated-empty-inner",
+        lambda d: union_former(d, negate=True),
+        {"ALLOC": []},
+        {"EMP", "ALLOC"},
+    ),
+    ("two-exists", two_exists_former, {}, {"EMP", "ALLOC", "SKILL"}),
+    (
+        "two-exists-first-fails",
+        two_exists_former,
+        {"ALLOC": NOBODY},
+        {"EMP", "ALLOC"},
+    ),
+    ("arithmetic", arithmetic_former, {}, {"EMP"}),
+]
+
+
+@pytest.mark.parametrize(
+    "build,overrides,must_read",
+    [case[1:] for case in SET_FORMER_CASES],
+    ids=[case[0] for case in SET_FORMER_CASES],
+)
+def test_set_former_reads(d, build, overrides, must_read):
+    slow, _ = check_contract(d, state_with(d, **overrides), build(d))
+    assert must_read <= slow
+
+
+def test_aggregate_reads(d):
+    slow, _ = check_contract(d, state_with(d), b.size_of(join_former(d)))
+    assert {"EMP", "ALLOC"} <= slow
+
+
+class TestForall:
+    def test_satisfied_and_violated(self, d):
+        satisfied = state_with(d, EMP=ALICE)
+        violated = state_with(d)  # bob has no allocation
+        for state in (satisfied, violated):
+            slow, _ = check_contract(
+                d, state, allocated_forall(d), is_formula=True
+            )
+            assert {"EMP", "ALLOC"} <= slow
+
+    def test_empty_guard_relation(self, d):
+        """The tree walk never reaches the body; the plan still names it."""
+        slow, fast = check_contract(
+            d, state_with(d, EMP=[]), allocated_forall(d), is_formula=True
         )
-        assert_same_reads(d, state_with(d), former)
-        assert_same_reads(d, state_with(d, ALLOC=[]), former)
+        assert "ALLOC" not in slow and "ALLOC" in fast
+
+    def test_arity_class_is_part_of_the_bound(self, d):
+        """The tree walk enumerates a tuple-sorted forall over *every*
+        relation of matching arity; the plan reports that class too."""
+        d.schema.add_relation("EMP_ARCHIVE", tuple(f"x{i}" for i in range(5)))
+        state = state_with(d, EMP_ARCHIVE=[("zed", "cs", 1, 2, "S")])
+        slow, fast = check_contract(
+            d, state, allocated_forall(d), is_formula=True
+        )
+        assert "EMP_ARCHIVE" in slow and "EMP_ARCHIVE" in fast
 
 
-class TestMultiConjunctChains:
-    def chain(self, d):
+class TestParameters:
+    def former(self, d, p):
+        """Employees named like the owner of skill tuple ``p``."""
         e = d.emp.var("e")
-        a, s = d.alloc.var("a"), d.skill.var("s")
         return b.setformer(
             d.emp.attr("e-name", e),
             e,
             b.land(
                 b.member(e, d.emp.rel()),
-                b.exists(
-                    a,
-                    b.land(
-                        b.member(a, d.alloc.rel()),
-                        b.eq(
-                            d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)
-                        ),
-                    ),
-                ),
-                b.exists(
-                    s,
-                    b.land(
-                        b.member(s, d.skill.rel()),
-                        b.eq(
-                            d.skill.attr("s-emp", s), d.emp.attr("e-name", e)
-                        ),
-                    ),
-                ),
+                b.eq(d.emp.attr("e-name", e), d.skill.attr("s-emp", p)),
             ),
         )
 
-    def test_both_exists_touch_when_rows_survive(self, d):
-        reads = assert_same_reads(d, state_with(d), self.chain(d))
-        assert {"EMP", "ALLOC", "SKILL"} <= reads
+    def test_parameter_owner_is_read(self, d):
+        state = state_with(d)
+        p = d.skill.var("p")
+        (skill,) = state.relation("SKILL")
+        env = Env.empty().bind(p, skill)
+        slow, _ = check_contract(d, state, self.former(d, p), env=env)
+        assert {"EMP", "SKILL"} <= slow
 
-    def test_second_exists_gated_on_first(self, d):
-        """No row survives the ALLOC exists, so the tree walk never
-        evaluates the SKILL one — the planner must not touch it."""
-        state = state_with(d, ALLOC=[("nobody", "apollo", 60)])
-        reads = assert_same_reads(d, state, self.chain(d))
-        assert "ALLOC" in reads and "SKILL" not in reads
+    def test_parameter_dereferenced_even_when_no_row_needs_it(self, d):
+        """With EMP empty the tree walk never evaluates the predicate, so
+        never dereferences ``p``; the plan resolves parameters up front —
+        inside the bound, because the owner is computable from the
+        environment."""
+        p = d.skill.var("p")
+        state = state_with(d, EMP=[])
+        (skill,) = state.relation("SKILL")
+        env = Env.empty().bind(p, skill)
+        slow, fast = check_contract(d, state, self.former(d, p), env=env)
+        assert "SKILL" not in slow and "SKILL" in fast
+        assert "DEPT" not in fast  # ...and nothing else rides along
 
-    def test_arithmetic_predicate_touch(self, d):
-        e = d.emp.var("e")
-        former = b.setformer(
-            d.emp.attr("e-name", e),
-            e,
-            b.land(
-                b.member(e, d.emp.rel()),
-                b.le(b.plus(d.emp.attr("salary", e), b.atom(5)), b.atom(100)),
-            ),
-        )
-        reads = assert_same_reads(d, state_with(d), former)
-        assert "EMP" in reads
+    def test_dead_parameter_reads_every_relation(self, d):
+        """A tuple parameter whose identifier no longer exists dereferences
+        by touching every relation (any could bring it back).  The tree
+        walk pays that only when a row reaches the predicate; the plan
+        pays it up front — the stated cost, still inside the bound."""
+        p = d.skill.var("p")
+        (skill,) = state_with(d).relation("SKILL")
+        state = state_with(d, EMP=[], SKILL=[])
+        assert state.owner_of(skill.tid) is None
+        env = Env.empty().bind(p, skill)
+        slow, fast = check_contract(d, state, self.former(d, p), env=env)
+        assert slow == {"EMP"}
+        assert fast == set(state.relation_names())
 
 
 class TestForeachDomains:
@@ -296,87 +359,55 @@ class TestForeachDomains:
         e, a = d.emp.var("e"), d.alloc.var("a")
         cond = [b.member(e, d.emp.rel())]
         if with_exists:
-            cond.append(
-                b.exists(
-                    a,
-                    b.land(
-                        b.member(a, d.alloc.rel()),
-                        b.eq(
-                            d.alloc.attr("a-emp", a), d.emp.attr("e-name", e)
-                        ),
-                    ),
-                )
-            )
+            cond.append(b.exists(a, alloc_of(d, a, e)))
         return b.foreach(
             e,
             b.land(*cond),
             b.modify(e, d.emp.attr_index("m-status"), b.atom("M")),
         )
 
-    def run_reads(self, d, state, fluent, *, planner):
+    def run(self, d, state, fluent, *, planner):
         db = Database(d.schema, initial=state)
         if planner:
             db.enable_planner()
         tracking = TrackingInterpreter.wrapping(db.interpreter)
         after = tracking.run(db.current, fluent)
-        return frozenset(tracking.reads), after
+        return db, frozenset(tracking.reads), after
 
-    def assert_same_run(self, d, state, fluent):
-        slow_reads, slow_after = self.run_reads(d, state, fluent, planner=False)
-        fast_reads, fast_after = self.run_reads(d, state, fluent, planner=True)
-        assert fast_reads == slow_reads
+    def check_run(self, d, state, fluent):
+        _, slow, slow_after = self.run(d, state, fluent, planner=False)
+        db, fast, fast_after = self.run(d, state, fluent, planner=True)
         assert fast_after.relations["EMP"] == slow_after.relations["EMP"]
-        return slow_reads
+        assert slow <= fast <= read_bound(db, fluent)
+        return slow
 
-    def test_foreach_domain_touch_and_result(self, d):
-        reads = self.assert_same_run(d, state_with(d), self.foreach_of(d))
-        assert "EMP" in reads
+    def test_foreach_domain(self, d):
+        assert "EMP" in self.check_run(d, state_with(d), self.foreach_of(d))
 
     def test_foreach_with_trailing_exists(self, d):
-        reads = self.assert_same_run(
+        slow = self.check_run(
             d, state_with(d), self.foreach_of(d, with_exists=True)
         )
-        assert {"EMP", "ALLOC"} <= reads
+        assert {"EMP", "ALLOC"} <= slow
 
-    def test_foreach_empty_domain_skips_inner(self, d):
-        reads = self.assert_same_run(
+    def test_foreach_empty_domain(self, d):
+        slow = self.check_run(
             d, state_with(d, EMP=[]), self.foreach_of(d, with_exists=True)
         )
-        assert "ALLOC" not in reads
+        assert "ALLOC" not in slow
 
 
-class TestForall:
-    def test_satisfied_and_violated(self, d):
-        satisfied = state_with(
-            d,
-            EMP=[("alice", "cs", 100, 30, "S")],
-            ALLOC=[("alice", "apollo", 60)],
-        )
-        violated = state_with(d)  # bob has no allocation
-        for state in (satisfied, violated):
-            reads = assert_same_reads(
-                d, state, allocated_forall(d), is_formula=True
-            )
-            assert {"EMP", "ALLOC"} <= reads
-
-    def test_forall_touch_is_arity_wide(self, d):
-        """The tree walk enumerates a tuple-sorted forall over *every*
-        relation of matching arity, so EMP's arity-5 peers land in the
-        read set even though only EMP rows pass the guard."""
-        reads = assert_same_reads(
-            d, state_with(d), allocated_forall(d), is_formula=True
-        )
-        assert "EMP" in reads
-
-    def test_empty_guard_relation_skips_body(self, d):
-        reads = assert_same_reads(
-            d, state_with(d, EMP=[]), allocated_forall(d), is_formula=True
-        )
-        assert "ALLOC" not in reads
+# One write program per relation the corpus reads.
+def writers(d):
+    return {
+        "EMP": (d.hire, ("carol", "cs", 80, 28, "S")),
+        "ALLOC": (d.allocate, ("bob", "apollo", 10)),
+        "SKILL": (d.add_skill, ("bob", 2)),
+    }
 
 
-class TestQueryCacheDigests:
-    def q(self, d):
+class TestQueryCacheSoundness:
+    def cs_names(self, d):
         e = d.emp.var("e")
         return query(
             "cs-names",
@@ -391,62 +422,78 @@ class TestQueryCacheDigests:
             ),
         )
 
-    def cache_entry(self, d, *, planner):
+    def test_planned_entry_invalidated_by_write_to_read_set(self, d):
         db = Database(d.schema, initial=state_with(d))
         cache = db.enable_query_cache()
-        if planner:
-            db.enable_planner()
-        db.query(self.q(d))
-        (entry,) = cache._entries.values()
-        return db, cache, entry
-
-    def test_cache_entries_identical_with_planner_on_and_off(self, d):
-        _, _, slow = self.cache_entry(d, planner=False)
-        _, _, fast = self.cache_entry(d, planner=True)
-        assert fast.reads == slow.reads
-        assert fast.digest == slow.digest
-        assert fast.value == slow.value
-
-    def test_widened_fragment_cache_entry_identical(self, d):
-        """A union-plan query (newly compilable) must produce the *same*
-        cache entry — reads, digest, value — planner on and off: cache
-        keys never depend on whether the planner answered."""
-
-        def entry(planner):
-            db = Database(d.schema, initial=state_with(d))
-            cache = db.enable_query_cache()
-            if planner:
-                db.enable_planner()
-            db.query(query("union-q", (), union_former(d)))
-            (e,) = cache._entries.values()
-            return e
-
-        slow, fast = entry(False), entry(True)
-        assert fast.reads == slow.reads
-        assert fast.digest == slow.digest
-        assert fast.value == slow.value
-
-    def test_planned_entry_invalidated_by_write_to_read_set(self, d):
-        db, cache, _ = self.cache_entry(d, planner=True)
-        assert db.query(self.q(d)) is not None  # hit
+        db.enable_planner()
+        q = self.cs_names(d)
+        db.query(q)
+        assert db.query(q) is not None  # hit
         assert cache.stats.hits == 1
         db.execute(d.hire, "carol", "cs", 80, 28, "S")
-        result = db.query(self.q(d))  # must re-evaluate, see carol
+        result = db.query(q)  # must re-evaluate, see carol
         assert cache.stats.hits == 1
         assert any(t.values == ("carol",) for t in result.representatives)
 
-
-class TestSchedulerValidation:
-    def test_read_write_sets_identical_under_scheduler(self, d):
-        """The optimistic scheduler validates commits against tracked
-        read sets; planner on/off must produce the same footprints."""
-
-        def footprint(planner):
+    @pytest.mark.parametrize(
+        "former", [join_former, union_former, two_exists_former]
+    )
+    def test_planned_answer_dies_on_any_write_the_tree_walk_would_see(
+        self, d, former
+    ):
+        """Soundness of the superset: for every relation the *tree walk*
+        reads, a write to it must kill the planned cache entry — and the
+        re-evaluated answer must equal a fresh uncached tree walk."""
+        node = former(d)
+        _, _, tree_reads = evaluate(d, state_with(d), node, planner=False)
+        assert tree_reads
+        for rel in sorted(tree_reads):
+            program, args = writers(d)[rel]
             db = Database(d.schema, initial=state_with(d))
-            if planner:
-                db.enable_planner()
-            tracking = TrackingInterpreter.wrapping(db.interpreter)
-            tracking.eval_object(db.current, join_former(d))
-            return tracking.read_write_set()
+            cache = db.enable_query_cache()
+            db.enable_planner()
+            q = query("q", (), node)
+            db.query(q)
+            db.query(q)
+            assert cache.stats.hits == 1
+            db.execute(program, *args)
+            got = db.query(q)
+            assert cache.stats.hits == 1, f"entry survived a write to {rel}"
+            _, expected, _ = evaluate(d, db.current, node, planner=False)
+            assert got == expected
 
-        assert footprint(True) == footprint(False)
+
+class TestSchedulerSoundness:
+    @pytest.mark.parametrize("rel", ["ALLOC", "SKILL", "EMP"])
+    def test_planned_transaction_conflicts_with_concurrent_writer(self, d, rel):
+        """``fire`` finds its rows through three planned ``foreach``
+        domains.  A writer that commits to any relation the tree walk
+        would have read, between the victim's evaluation and its
+        validation, must force a retry on that relation."""
+        tracking = TrackingInterpreter()
+        d.fire.run(state_with(d), "bob", interpreter=tracking)
+        assert rel in tracking.reads
+
+        db = Database(d.schema, initial=state_with(d))
+        planner = db.enable_planner()
+        evaluated = threading.Event()
+        release = threading.Event()
+
+        def gate(attempt: int) -> None:
+            if attempt == 1:
+                evaluated.set()
+                assert release.wait(10)
+
+        program, args = writers(d)[rel]
+        with db.concurrent(
+            workers=2, retry=RetryPolicy(base_delay=0.0001, jitter=0.0)
+        ) as mgr:
+            victim = mgr.submit(d.fire, "bob", on_evaluated=gate)
+            assert evaluated.wait(10)
+            assert mgr.execute(program, *args).ok
+            release.set()
+            outcome = victim.result(timeout=10)
+        assert planner.exec_count >= 3
+        assert outcome.ok and outcome.attempts == 2
+        assert rel in outcome.conflicts[0]
+        assert mgr.verify_serializable()

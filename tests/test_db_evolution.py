@@ -77,6 +77,18 @@ class TestEvolutionGraph:
         assert not g.reachable(states[0], states[2])
         assert g.reachable(states[0], states[0])  # reflexively
 
+    def test_unknown_state_is_refused(self, states):
+        """Asking about a state the graph never saw is an error, not a
+        quiet "unreachable"."""
+        g = chain_graph(states[:2])
+        for ask in (
+            lambda: g.reachable(states[0], states[3]),
+            lambda: g.reachable(states[3], states[0]),
+            lambda: g.successors(states[3]),
+        ):
+            with pytest.raises(CheckabilityError):
+                ask()
+
     def test_max_length_bounds_enumeration(self, states):
         g = chain_graph(states)
         short = [t for t in g.transitions_from(states[0], max_length=1) if not t.is_null]

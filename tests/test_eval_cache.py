@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.engine import Database
@@ -196,3 +200,52 @@ class TestTracerNeutrality:
             db.query(q)  # the tracer is not part of the key: still a hit
         db.query(q)
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+
+class TestThreadSafety:
+    def test_hot_key_survives_concurrent_hits_and_invalidation(self, domain):
+        """Ledger finding 6: two ``QUERY``s hitting the hot key both ran
+        the LRU re-insertion and the loser raised ``KeyError``; an
+        invalidation between lookup and re-insertion did the same."""
+        cache = QueryCache()
+        state = domain.sample_state()
+        q = headcount_query()
+        cache.evaluate(q, (), state)
+        errors: list[BaseException] = []
+        answers: list[int] = []
+        stop_at = time.monotonic() + 1.0
+        workers = 6
+
+        def reader() -> None:
+            got = 0
+            try:
+                while time.monotonic() < stop_at:
+                    assert cache.evaluate(q, (), state) == 4
+                    got += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            answers.append(got)
+
+        def invalidator() -> None:
+            try:
+                while time.monotonic() < stop_at:
+                    cache.invalidate({"EMP"})
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(workers)]
+        threads.append(threading.Thread(target=invalidator))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # No lost updates: every answered lookup is one hit or one miss.
+        assert cache.stats.hits + cache.stats.misses == sum(answers) + 1
+        assert len(cache) <= 1

@@ -15,7 +15,12 @@ import pytest
 
 from repro import Client, Database, TransactionServer
 from repro.db.values import TupleSet
-from repro.errors import ConstraintViolation, ExecutabilityError, SortError
+from repro.errors import (
+    ConstraintViolation,
+    ExecutabilityError,
+    ReproError,
+    SortError,
+)
 from repro.logic import builder as b
 from repro.server.protocol import FrameDecoder, encode_message
 from repro.transactions.program import query
@@ -50,8 +55,9 @@ def raw_exchange(address, docs, timeout=5.0):
     """Speak raw frames; return (decoded replies, saw_eof)."""
     sock = socket.create_connection(address, timeout=timeout)
     try:
-        for doc in docs:
-            sock.sendall(encode_message(doc))
+        # One write: pipelined frames reach the server together, so "still
+        # in flight" cases do not race the first request's completion.
+        sock.sendall(b"".join(encode_message(doc) for doc in docs))
         decoder = FrameDecoder()
         replies: list[dict] = []
         saw_eof = False
@@ -225,3 +231,55 @@ class TestObservability:
         kinds = {(s.kind, s.label) for s in tracer.spans()}
         assert ("request", "execute:hire") in kinds
         assert ("request", "query:headcount") in kinds
+
+
+class TestRepliesAlwaysArrive:
+    """Every request gets a reply frame, whatever the evaluation does."""
+
+    def test_set_of_constructed_tuples_round_trips(self, domain):
+        """``{e-name(e) | ...}`` builds tuples with no identifier; encoding
+        the set used to sort by ``tid`` and die on ``None < None``."""
+        e = domain.emp.var("e")
+        names = query(
+            "names",
+            (),
+            b.setformer(
+                domain.emp.attr("e-name", e), e, b.member(e, domain.emp.rel())
+            ),
+        )
+        db = Database(domain.schema, initial=domain.sample_state())
+        with TransactionServer(db, [names], workers=2) as server:
+            with Client(*server.address, timeout=5.0) as c:
+                got = c.query("names")
+        assert isinstance(got, TupleSet)
+        assert all(t.tid is None for t in got)
+        assert got == db.query(names)
+
+    def test_unexpected_exception_becomes_an_error_frame(
+        self, domain, monkeypatch, caplog
+    ):
+        """A non-``ReproError`` used to kill the request task with no
+        reply, leaving the client blocked for its full timeout."""
+        boom = query("boom", (), b.size_of(b.rel("EMP", 5)))
+        db = Database(domain.schema, initial=domain.sample_state())
+
+        def explode(program, *args, **kwargs):
+            raise ZeroDivisionError("kaboom")
+
+        monkeypatch.setattr(db, "query", explode)
+        with TransactionServer(db, [boom], workers=2) as server:
+            with Client(*server.address, timeout=5.0) as c:
+                with pytest.raises(ReproError, match="ZeroDivisionError: kaboom"):
+                    c.query("boom")
+                # The session survives and the request is on the books.
+                with pytest.raises(ReproError, match="internal error"):
+                    c.query("boom")
+            counted = server.metrics.counter(
+                "repro_server_requests_total",
+                "requests served",
+                type="QUERY",
+                tenant="default",
+                status="error",
+            ).value
+        assert counted == 2
+        assert "Traceback" in caplog.text and "kaboom" in caplog.text
