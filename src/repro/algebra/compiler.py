@@ -22,13 +22,25 @@ computable from the plan alone (the contract in
   with a body of pure predicates plus at most one (possibly negated)
   single-level ``exists``;
 * a ``foreach`` iteration domain compiles like a set former over its bound
-  variable, yielding the satisfier list in canonical order.
+  variable, yielding the satisfier list in canonical order;
+* one situational shape, the **window plan** (:func:`compile_window`): a
+  closed ``forall`` prefix over state, transition and fluent tuple
+  variables with body ``c1 ∧ … ∧ cn → d``, built from ``w::member(v, R)``,
+  pure predicates over ``w:attr(v)``, and — closing the premise, or in the
+  conclusion — residual ``w::p`` f-formulas evaluated per surviving row.
+  A state term ``w`` is ``s`` or ``s;t…``; a row slot is a *(tuple
+  variable, state term)* pair ``v@w``, so the predicates above are reused
+  as they are.  Tuple variables range over the window's whole active
+  domain, so an ordered comparison must sit behind a positive membership
+  of its slot, whose relation types the column.
 
-Anything else — defined/skolem/state-changing symbols, situational layers,
-memberships swallowed inside a disjunction, set-valued or atom-sorted
-bound variables, double memberships — raises :class:`Incompilable`, and
-the planner falls back to the tree walk.  Fallback is always sound: the
-tree walk is the semantics.
+Anything else — defined/skolem/state-changing symbols, other situational
+nodes (a concrete transaction in a state term, nested state or transition
+quantifiers, transition equalities, other prefix sorts), memberships
+swallowed inside a disjunction, set-valued or atom-sorted bound
+variables, double memberships — raises :class:`Incompilable`, and the
+planner falls back to the tree walk.  Fallback is always sound: the tree
+walk is the semantics.
 
 This mirrors the eligibility analysis of :mod:`repro.eval.footprint`: walk
 the tree, accumulate structure, record the first blocking reason.
@@ -41,11 +53,15 @@ from typing import Optional
 
 from repro.logic.fluents import Foreach, SetFormer
 from repro.logic.formulas import And, Eq, Exists, Forall, Formula, Implies, Not, Or, Pred
+from repro.logic.formulas import EvalBool, Quant, SPred
+from repro.logic.substitution import Substitution
 from repro.logic.symbols import SymbolKind
 from repro.logic.terms import App, AtomConst, Expr, Layer, RelConst, Var
+from repro.logic.terms import EvalObj, EvalState, SApp
 from repro.transactions.interpreter import _base_name, _conjuncts
 
 from repro.algebra.ir import Arith, Cmp, Col, Disj, Lit, ParamRef, ValueExpr
+from repro.algebra.ir import Member, Residual
 
 
 class Incompilable(Exception):
@@ -140,6 +156,35 @@ class ForallQuery:
     body_preds: tuple[Cmp, ...]
     negated: bool
     params: tuple[Var, ...] = ()
+    checks: tuple = ()
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One window row slot: a tuple variable as it exists at state term
+    ``term``; ``var`` is the slot's own variable, named ``v@w``."""
+
+    var: Var
+    slot: int
+    term: int
+
+
+@dataclass(frozen=True)
+class WindowQuery:
+    """A closed ``forall`` prefix with body ``c1 ∧ … ∧ cn → d``, as a join
+    across the versions of a window.  ``terms`` lists the state terms as
+    ``(base, label)`` — ``base`` the term a transition variable extends,
+    ``None`` for a state variable; ``groups`` holds, per tuple variable in
+    prefix order, one slot per term it is read at; ``preds`` the premise's
+    memberships and pure predicates in source order, ``residuals`` the
+    ``w::p`` conjuncts that close it, ``conclusion`` a conjunction of any of
+    them; ``checks`` the integer columns under which no predicate raises."""
+
+    terms: tuple[tuple[Optional[int], str], ...]
+    groups: tuple[tuple[Slot, ...], ...]
+    preds: tuple  # Member | Cmp | Disj
+    residuals: tuple[Residual, ...]
+    conclusion: tuple  # Member | Cmp | Disj | Residual
     checks: tuple = ()
 
 
@@ -662,6 +707,152 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
             else [([guard], guard_preds + pre_preds)]
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# window compilation (closed s-formulas: the paper's transaction constraints)
+# ---------------------------------------------------------------------------
+
+
+def compile_window(formula: Forall, interp=None) -> WindowQuery:
+    """Compile a closed ``forall`` prefix over a window of states.  Every
+    ``w:e`` / ``w::p`` is lowered to an f-node over *slot variables* — ``v``
+    inside state term ``w`` becomes ``v@w`` — so the pure-predicate compiler
+    and the totality analysis of the single-state shapes apply unchanged."""
+    if formula.free_vars():
+        raise Incompilable("s-formula is not closed")
+    prefix: list[Var] = []
+    body: Formula = formula
+    while isinstance(body, Forall):
+        prefix.append(body.var)
+        body = body.body
+    if len(set(prefix)) != len(prefix):
+        raise Incompilable("rebinding in the quantifier prefix")
+    for var in prefix:
+        if not (var.sort.is_state or var.sort.is_tuple and var.layer is Layer.FLUENT):
+            raise Incompilable(f"prefix variable {var.name} of sort {var.sort}")
+    tuple_vars = [v for v in prefix if v.sort.is_tuple]
+    terms: list[tuple[Optional[int], str]] = []
+    term_of: dict[Expr, int] = {}
+    slot_vars: dict[tuple[Var, int], Var] = {}
+    slots: dict[Var, int] = {}
+
+    def term(expr: Expr) -> int:
+        """The index of state term ``expr``: a state variable, or a term
+        extended by a transition variable ``t`` used nowhere else and
+        quantified inside that term's variables — the walk drops a whole
+        binding of ``t`` at the first state it does not apply at."""
+        if expr not in term_of:
+            if isinstance(expr, Var) and expr.is_state_var:
+                entry = (None, expr.name)
+            elif not isinstance(expr, EvalState):
+                raise Incompilable(f"state term {expr}")
+            elif not isinstance(expr.trans, Var):
+                raise Incompilable(f"concrete transaction in state term {expr}")
+            else:
+                base, t = term(expr.state), expr.trans
+                if any(isinstance(e, EvalState) and e.trans == t for e in term_of):
+                    raise Incompilable(f"transition variable {t.name} applied twice")
+                if any(prefix.index(v) > prefix.index(t) for v in expr.state.free_vars()):
+                    raise Incompilable(f"{t.name} is quantified outside its state term")
+                entry = (base, f"{terms[base][1]};{t.name}")
+            term_of[expr] = len(terms)
+            terms.append(entry)
+        return term_of[expr]
+
+    def at(t: int, node):
+        """``node`` with each free tuple variable renamed to its slot at
+        term ``t`` (allocated on first use), and the renaming."""
+        renaming: dict[Var, Var] = {}
+        for var in sorted(node.free_vars(), key=lambda v: v.name):
+            if var not in tuple_vars:
+                raise Incompilable(f"variable {var.name} inside a state term")
+            if (var, t) not in slot_vars:
+                slot_var = Var(f"{var.name}@{terms[t][1]}", var.var_sort, Layer.FLUENT)
+                slot_vars[var, t] = slot_var
+                slots[slot_var] = len(slots)
+            renaming[var] = slot_vars[var, t]
+        return Substitution(renaming).apply(node), renaming
+
+    def lower(node):
+        """The f-node an s-node denotes once each ``w:e`` reads its slots."""
+        if isinstance(node, EvalObj):
+            return at(term(node.state), node.expr)[0]
+        if isinstance(node, Var):
+            raise Incompilable(f"variable {node.name} outside a state term")
+        if isinstance(node, (EvalBool, EvalState, SApp, SPred, Quant)):
+            raise Incompilable(f"{type(node).__name__} inside a predicate")
+        kids = node.children()
+        return node.with_children(tuple(lower(k) for k in kids)) if kids else node
+
+    def pure(f: Formula):
+        _check_symbols(f, interp)
+        return _compile_pred(f, slots)
+
+    def atom(f: Formula):
+        negated = isinstance(f, Not) and isinstance(f.body, EvalBool)
+        if negated:
+            f = f.body
+        if not isinstance(f, EvalBool):
+            return pure(lower(f))
+        t, inner = term(f.state), f.formula
+        if isinstance(inner, Not) and _is_member(inner.body):
+            negated, inner = not negated, inner.body
+        renamed, renaming = at(t, inner)
+        tup, rel = inner.args if _is_member(inner) else (None, None)
+        if isinstance(tup, Var) and isinstance(rel, RelConst):
+            return Member(slots[renaming[tup]], t, rel.name, rel.arity, negated)
+        if not negated:
+            try:
+                return pure(renamed)
+            except Incompilable:
+                pass
+        binds = tuple((var, slots[slot_var]) for var, slot_var in renaming.items())
+        return Residual(t, inner, binds, negated)
+
+    checks: list = []
+    guards: dict[int, str] = {}
+
+    def total(p) -> None:
+        """An ordered comparison needs integer operands: its columns must
+        sit behind an earlier positive membership, whose relation types them."""
+        if isinstance(p, (Member, Residual)):
+            return
+        levels = [Level(v, i, guards.get(i), v.sort.arity) for v, i in slots.items()]
+        for check in _totality_checks([(levels, [p])]):
+            if check[1][0] is None:
+                raise Incompilable("comparison over a column no earlier membership types")
+            checks.append(check)
+
+    preds: list = []
+    residuals: list[Residual] = []
+    if isinstance(body, Implies):
+        for p in map(atom, _conjuncts(body.antecedent)):
+            if isinstance(p, Residual):
+                residuals.append(p)
+                continue
+            if residuals:
+                raise Incompilable("a residual w::p precedes a join predicate")
+            if isinstance(p, Member) and not p.negated:
+                guards.setdefault(p.slot, p.rel)
+            total(p)
+            preds.append(p)
+        body = body.consequent
+    conclusion = [atom(c) for c in _conjuncts(body)]
+    for p in conclusion:
+        total(p)
+    groups = tuple(
+        tuple(Slot(sv, slots[sv], t) for (var, t), sv in slot_vars.items() if var == v)
+        for v in tuple_vars
+    )
+    if not groups:
+        # A static constraint ``forall s. s::p``: the walk already hands
+        # ``p`` to the single-state planner once per state.
+        raise Incompilable("no tuple variable to join across states")
+    if not all(groups):
+        raise Incompilable("a tuple variable of the prefix is unused")
+    shape = (preds, residuals, conclusion, dict.fromkeys(checks))
+    return WindowQuery(tuple(terms), groups, *map(tuple, shape))
 
 
 # ---------------------------------------------------------------------------

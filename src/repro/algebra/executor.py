@@ -31,13 +31,24 @@ indexes instead of nested enumeration).  Its obligations:
    seam plus one tick per scanned and per probed candidate, so runaway
    queries still abort; tick *counts* are comparable, not identical (that
    difference is the speedup).
+
+A *window plan* (:func:`run_window`) answers a closed s-formula over a
+``PartialModel`` under the same four: it joins each tuple variable's
+active-domain candidates, dereferenced once per state they are read at,
+for every distinct applicable binding of the state terms; it reports every
+relation of every window state as read; whatever could raise goes back.
 """
 
 from __future__ import annotations
 
 from repro.db.values import DBTuple, TupleSet
-from repro.errors import EvaluationError, UnboundVariableError
-from repro.transactions.interpreter import _tuple_order_key, value_eq
+from repro.errors import (
+    EvaluationError,
+    PlannerMismatch,
+    ResourceError,
+    UnboundVariableError,
+)
+from repro.transactions.interpreter import Env, _tuple_order_key, value_eq
 
 from repro.algebra.compiler import (
     AggQuery,
@@ -48,8 +59,9 @@ from repro.algebra.compiler import (
     ParamSel,
     RelQuery,
     SetOpQuery,
+    WindowQuery,
 )
-from repro.algebra.ir import Arith, Col, Disj, Lit, ParamRef
+from repro.algebra.ir import Arith, Col, Disj, Lit, Member, ParamRef
 
 
 class Unplannable(Exception):
@@ -61,7 +73,9 @@ class Unplannable(Exception):
 
 class Ctx:
     """Per-evaluation context: the interpreter seams plus the plan's
-    parameters, dereferenced once by :func:`_open`."""
+    parameters, dereferenced once by :func:`_open`.  For a window plan
+    ``state`` is the tuple of states bound to its terms and the parameters
+    are relation versions: ``params[term, rel]``, ``rel``'s value set there."""
 
     __slots__ = ("interp", "state", "params")
 
@@ -168,12 +182,19 @@ def _as_int(value) -> int:
 
 
 def _holds(ctx: Ctx, row, p) -> bool:
-    if isinstance(p, Disj):
-        # Ordered short-circuit in both directions, like the tree walk's
-        # any-over-all on the original Or/And.
-        return any(
-            all(_holds(ctx, row, c) for c in branch) for branch in p.branches
-        )
+    if not isinstance(p, Cmp):
+        if isinstance(p, Disj):
+            # Ordered short-circuit in both directions, like the tree walk's
+            # any-over-all on the original Or/And.
+            return any(
+                all(_holds(ctx, row, c) for c in branch) for branch in p.branches
+            )
+        if isinstance(p, Member):
+            return (row[p.slot].values in ctx.params[p.term, p.rel]) != p.negated
+        # A window residual: the interpreter's own verdict at that state.
+        env = Env({var: row[slot] for var, slot in p.binds})
+        truth = ctx.interp.eval_formula(ctx.state[p.term], p.formula, env)
+        return truth != p.negated
     a = _value(ctx, row, p.lhs)
     b = _value(ctx, row, p.rhs)
     if p.op == "eq":
@@ -213,22 +234,24 @@ def _pred_slots(p) -> set[int]:
             for c in branch:
                 slots |= _pred_slots(c)
         return slots
+    if isinstance(p, Member):
+        return {p.slot}
     return _expr_slots(p.lhs) | _expr_slots(p.rhs)
 
 
-def split_preds(preds, slot: int):
-    """Partition the predicates applied when level ``slot`` meets the rows
-    already placed: ``local`` ones mention only ``slot`` (pushed into its
-    scan), equi ``keys`` pair a placed-side expression with a column of
-    ``slot``, and ``residual`` ones filter the matches.  The one equi-key
-    extractor — :func:`_probe_table` and the planner's explain tree both
-    call it."""
+def split_preds(preds, slots: set[int]):
+    """Partition the predicates applied when a level — one slot, or the
+    slots of one window variable — meets the rows already placed: ``local``
+    ones mention only ``slots`` (pushed into its scan), equi ``keys`` pair a
+    placed-side expression with a column of ``slots``, and ``residual`` ones
+    filter the matches.  The one equi-key extractor — :func:`_probe_table`,
+    :func:`window_stages` and the planner's explain tree all call it."""
     local, keys, residual = [], [], []
     for p in preds:
-        if _pred_slots(p) <= {slot}:
+        if _pred_slots(p) <= slots:
             local.append(p)
             continue
-        key = _equi_key(p, slot)
+        key = _equi_key(p, slots)
         if key is not None:
             keys.append(key)
         else:
@@ -249,15 +272,15 @@ def staged_preds(preds, order):
         yield slot, usable, placed & set().union(*(s for _, s in pending))
 
 
-def _equi_key(p, slot: int):
-    """``(other, mine)`` when ``p`` equates a column of ``slot`` with an
-    expression that does not mention ``slot``; else ``None``."""
+def _equi_key(p, slots: set[int]):
+    """``(other, mine)`` when ``p`` equates a column of ``slots`` with an
+    expression that mentions none of them; else ``None``."""
     if isinstance(p, Cmp) and p.op == "eq":
         for mine, other in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
             if (
                 isinstance(mine, Col)
-                and mine.slot == slot
-                and slot not in _expr_slots(other)
+                and mine.slot in slots
+                and not slots & _expr_slots(other)
             ):
                 return other, mine
     return None
@@ -284,7 +307,7 @@ def _scan(planner, ctx: Ctx, level: Level, preds) -> list:
     slot = level.slot
     filters = list(preds)
     for p in preds:
-        key = _equi_key(p, slot)
+        key = _equi_key(p, {slot})
         if key is not None and key[1].index > 0:
             other, mine = key
             wanted = _key_of(_value(ctx, (), other))
@@ -315,7 +338,7 @@ def _probe_table(planner, ctx: Ctx, level: Level, preds):
     reaches is never scanned, so — as in the tree walk — its size is not
     held against ``max_enumeration``."""
     slot = level.slot
-    local, keys, residual = split_preds(preds, slot)
+    local, keys, residual = split_preds(preds, {slot})
     budget = ctx.interp.budget
     table = None
 
@@ -552,3 +575,127 @@ def run_aggregate(planner, interp, state, env, q: AggQuery):
     if not numbers:
         raise EvaluationError(f"{q.op} of an empty set is undefined")
     return max(numbers) if q.op == "max" else min(numbers)
+
+
+# ---------------------------------------------------------------------------
+# window execution (closed s-formulas over a partial model)
+# ---------------------------------------------------------------------------
+
+
+def window_stages(q: WindowQuery) -> list:
+    """Per tuple variable, in prefix order: :func:`split_preds` of the
+    premise predicates that become applicable once its slots are placed."""
+    order = [s.slot for group in q.groups for s in group]
+    usable = {slot: preds for slot, preds, _ in staged_preds(q.preds, order)}
+    return [
+        split_preds([p for s in group for p in usable[s.slot]], {s.slot for s in group})
+        for group in q.groups
+    ]
+
+
+def _assignments(model, states, terms) -> list:
+    """Every *distinct applicable* binding of the plan's state terms: a
+    state variable ranges over the model's states, ``w;t`` over the states
+    a transition applicable at ``w`` reaches (``w`` itself through Λ).  A
+    binding the walk visits with ``t`` inapplicable is vacuous, or decided
+    before any ``w;t`` is read and then decided the same way under Λ."""
+    reach = {
+        s: list(dict.fromkeys(tr.apply(s) for tr in model.transitions_from(s)))
+        for s in states
+    }
+    bounds = [()]
+    for base, _ in terms:
+        bounds = [
+            (*bound, state)
+            for bound in bounds
+            for state in (states if base is None else reach[bound[base]])
+        ]
+    return bounds
+
+
+def run_window(planner, interp, model, env, q: WindowQuery) -> bool:
+    """Does the closed ``forall`` hold of ``model``?  Errors are the walk's
+    to decide: a misfit relation or column, or *any* exception on the way —
+    short of a spent budget or an inner plan's mismatch — hands it back."""
+    try:
+        return _window_holds(planner, interp, model, q)
+    except (Unplannable, PlannerMismatch, ResourceError):
+        raise
+    except Exception as exc:
+        raise Unplannable(f"{type(exc).__name__} in a window plan") from None
+
+
+def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
+    states = model.states()
+    members = [p for p in (*q.preds, *q.conclusion) if isinstance(p, Member)]
+    for state in states:
+        for p in members:
+            relation = state.relations.get(p.rel)
+            if relation is None or relation.arity != p.arity:
+                raise Unplannable(p.rel)
+        for _, (name, index) in q.checks:
+            if not planner.int_columns(state.relations[name])[index - 1]:
+                raise Unplannable(f"a predicate may raise: column {name}.{index}")
+        # Candidates come from every relation of a variable's arity and a
+        # dead identifier dereferences against all of them.
+        interp._touch(state, *state.relation_names())
+    # Each arity's active-domain candidates as they exist at each state:
+    # dereferenced by identifier, the bound snapshot where it is dead —
+    # ``Interpreter._deref`` once per (candidate, state), not per row.
+    derefs: dict = {}
+    for arity in {group[0].var.sort.arity for group in q.groups}:
+        domain = model.tuple_domain(arity)
+        for state in states:
+            found = [state.lookup_tuple(c.tid) or c for c in domain]
+            if any(t.arity != arity for t in found):
+                raise Unplannable("identifier reused across arities")
+            if interp.budget is not None:
+                for _ in found:
+                    interp.budget.tick()
+            derefs[state, arity] = found
+    stages = window_stages(q)
+    holds = True
+    for bound in _assignments(model, states, q.terms):
+        versions = {
+            (p.term, p.rel): planner.values_of(bound[p.term].relations[p.rel])
+            for p in members
+        }
+        ctx = Ctx(interp, bound, versions)
+        # Every row is tested, found violations or not: a residual can
+        # raise, and the walk may meet that row before its first violation.
+        for row in _window_rows(ctx, q, stages, derefs):
+            if all(_holds(ctx, row, p) for p in q.residuals) and not all(
+                _holds(ctx, row, p) for p in q.conclusion
+            ):
+                holds = False
+    return holds
+
+
+def _window_rows(ctx: Ctx, q: WindowQuery, stages, derefs) -> list:
+    """The rows of one state assignment that pass the premise's memberships
+    and pure predicates.  Per tuple variable: scan its candidates (one per
+    slot from ``derefs``, local predicates pushed down), key the survivors
+    on the equi columns, probe with the rows joined so far."""
+    width = sum(len(group) for group in q.groups)
+    rows = [[None] * width]
+    for group, (local, keys, residual) in zip(q.groups, stages):
+        columns = [derefs[ctx.state[s.term], s.var.sort.arity] for s in group]
+        table: dict = {}
+        scratch = [None] * width
+        for found in zip(*columns):
+            for s, t in zip(group, found):
+                scratch[s.slot] = t
+            if all(_holds(ctx, scratch, p) for p in local):
+                k = tuple(_key_of(_value(ctx, scratch, mine)) for _, mine in keys)
+                table.setdefault(k, []).append(found)
+        joined = []
+        for row in rows:
+            k = tuple(_key_of(_value(ctx, row, other)) for other, _ in keys)
+            for found in table.get(k, ()):
+                merged = list(row)
+                for s, t in zip(group, found):
+                    merged[s.slot] = t
+                if all(_holds(ctx, merged, p) for p in residual):
+                    joined.append(merged)
+        rows = joined
+    return rows

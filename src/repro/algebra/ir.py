@@ -1,8 +1,9 @@
 """Relational-algebra IR: operators, value expressions, and predicates.
 
 The compiler (:mod:`repro.algebra.compiler`) lowers a set former, an
-``exists`` chain, or a guarded ``forall`` into a small tree of these
-operators; the planner (:mod:`repro.algebra.planner`) annotates the tree
+``exists`` chain, a guarded ``forall``, or a closed s-formula over a window
+of states into a small tree of these operators; the planner
+(:mod:`repro.algebra.planner`) annotates the tree
 with cardinality estimates and a physical join order; the executor
 (:mod:`repro.algebra.executor`) runs it against a :class:`~repro.db.state.
 State` through the interpreter's ``_touch``/``Budget`` seams.
@@ -91,7 +92,32 @@ class Disj:
     branches: tuple[tuple["Pred", ...], ...]
 
 
-Pred = object  # Cmp | Disj
+@dataclass(frozen=True)
+class Member:
+    """``w::member(v, R)`` in a window plan: slot ``slot`` — ``v`` as it
+    exists at state term ``term`` — is, by value, in ``rel`` at that term
+    (``negated``: is not).  One slot wide: it pushes down into ``v``'s scan."""
+
+    slot: int
+    term: int
+    rel: str
+    arity: int
+    negated: bool = False
+
+
+@dataclass(frozen=True)
+class Residual:
+    """``w::p`` in a window plan, ``p`` outside the pure predicates: the
+    interpreter evaluates it per surviving row at state term ``term``, its
+    free tuple variables bound from ``binds`` (variable, row slot)."""
+
+    term: int
+    formula: object
+    binds: tuple[tuple[Var, int], ...]
+    negated: bool = False
+
+
+Pred = object  # Cmp | Disj | Member | Residual
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +154,12 @@ class HashJoin:
 @dataclass(frozen=True)
 class Select:
     """Filter rows by predicates that could not be pushed into a scan or
-    join (e.g. predicates over parameters only)."""
+    join (e.g. predicates over parameters only).  ``negated`` keeps the rows
+    that *fail* them — the violations of a window plan's conclusion."""
 
     child: "Op"
     preds: tuple[Cmp, ...]
+    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -217,6 +245,10 @@ _OPS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def _pred_str(p) -> str:
+    if isinstance(p, Member):
+        return f"#{p.slot} {'not in' if p.negated else 'in'} {p.rel}"
+    if isinstance(p, Residual):
+        return f"{'not ' if p.negated else ''}[{p.formula}]"
     if isinstance(p, Disj):
         return " or ".join(
             "(" + " and ".join(_pred_str(c) for c in branch) + ")"
@@ -263,6 +295,8 @@ def render(op: Op, annotate=None, indent: int = 0) -> list[str]:
         ]
     if isinstance(op, Select):
         preds = " and ".join(_pred_str(p) for p in op.preds)
+        if op.negated:
+            preds = f"not ({preds})"
         return [line(f"Select {preds}"), *render(op.child, annotate, indent + 1)]
     if isinstance(op, Project):
         exprs = ", ".join(_expr_str(e) for e in op.exprs)

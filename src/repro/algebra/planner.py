@@ -8,7 +8,12 @@ back to the tree walk (outside the compilable fragment, planner disabled
 or quarantined, relation drifted from the plan, a predicate that could
 raise on the current column types, or re-entry from the verification
 oracle), ``(True, value)`` answers it from a relational-
-algebra plan.
+algebra plan.  The quantifier hook has a second caller: the situational
+:class:`~repro.constraints.semantics.Evaluator` passes a closed ``forall``
+with its ``PartialModel`` in the state position and gets the verdict of a
+*window plan* — a transaction constraint as a join across the versions of
+a window.  Every evaluation counts in ``repro_planner_evals_total`` as
+``outcome="planned"`` or ``"fallback"``; :meth:`QueryPlanner.plan` says why.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
 use — come from :class:`~repro.algebra.stats.StatsCatalog`, whose row
@@ -29,6 +34,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
+from repro.db.state import State
 from repro.errors import PlanError, PlannerMismatch
 from repro.eval.quarantine import quarantine_event
 from repro.logic.fluents import Foreach, SetFormer
@@ -50,6 +56,7 @@ from repro.algebra.compiler import (
     compile_foreach_domain,
     compile_set_expr,
     compile_set_former,
+    compile_window,
 )
 from repro.algebra.executor import Unplannable
 from repro.algebra.stats import StatsCatalog
@@ -90,6 +97,7 @@ class QueryPlanner:
         self.max_plans = max_plans
         self.max_rep_cache = max_rep_cache
         self._plans: OrderedDict = OrderedDict()
+        self._plans_by_id: dict = {}
         self._derived: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -156,27 +164,43 @@ class QueryPlanner:
             or (True,) * relation.arity,
         )
 
-    def _compiled(self, node, interp, compile_fn):
+    def values_of(self, relation) -> frozenset:
+        """The relation's value set — what ``member`` tests."""
+        return self._cached(
+            (relation, "values"), lambda: relation.to_tuple_set().elements
+        )
+
+    def _compiled(self, node, interp, compile_fn, window: bool = False):
         """Compile-or-fallback with a bounded plan cache; ``None`` means the
-        node is outside the fragment (negatively cached)."""
-        with self._lock:
-            if node in self._plans:
-                self._plans.move_to_end(node)
-                cached = self._plans[node]
-                return cached if not isinstance(cached, str) else None
-        try:
-            compiled = compile_fn()
-        except Incompilable as exc:
-            compiled = exc.reason  # negative-cache the reason string
-        with self._lock:
-            self._plans[node] = compiled
-            while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
-        if isinstance(compiled, str):
-            self._count("repro_planner_fallback_total", "fallback")
+        node is outside the fragment (negatively cached; every evaluation
+        counts as a fallback).  An identity table fronts the structural one:
+        a node evaluated again is found by ``id`` — its entry holds the
+        node, so the id cannot be recycled — and only a new node object pays
+        the structural hash that lets an equal node share a plan.  ``window``
+        keeps an s-formula's plan apart from the f-layer hooks' entries."""
+        found = self._plans_by_id.get((id(node), window))
+        if found is None:
+            key = (node, window)
+            with self._lock:
+                compiled = self._plans.get(key)
+            if compiled is None:
+                try:
+                    compiled = compile_fn()
+                    self._count("repro_planner_compiled_total", "compiled")
+                except Incompilable as exc:
+                    compiled = exc.reason  # negative-cache the reason string
+            with self._lock:
+                self._plans[key] = compiled
+                self._plans.move_to_end(key)
+                while len(self._plans) > self.max_plans:
+                    self._plans.popitem(last=False)
+                if len(self._plans_by_id) >= self.max_plans:
+                    self._plans_by_id.clear()
+                self._plans_by_id[id(node), window] = found = (node, compiled)
+        if isinstance(found[1], str):
+            self._count("repro_planner_evals_total", "fallback", outcome="fallback")
             return None
-        self._count("repro_planner_compiled_total", "compiled")
-        return compiled
+        return found[1]
 
     def invalidate_negative(self) -> None:
         """Drop negatively-cached ``Incompilable`` reasons.
@@ -188,15 +212,18 @@ class QueryPlanner:
         are state-independent shapes whose run-time binding check already
         falls back when a relation drifts."""
         with self._lock:
-            stale = [k for k, v in self._plans.items() if isinstance(v, str)]
-            for k in stale:
-                del self._plans[k]
+            for key in [k for k, v in self._plans.items() if isinstance(v, str)]:
+                del self._plans[key]
+            for key in [
+                k for k, (_, v) in self._plans_by_id.items() if isinstance(v, str)
+            ]:
+                del self._plans_by_id[key]
 
-    def _count(self, metric: str, attr: str) -> None:
+    def _count(self, metric: str, attr: str, **labels) -> None:
         setattr(self, attr + "_count", getattr(self, attr + "_count") + 1)
         if self.metrics is not None:
             self.metrics.counter(
-                metric, f"planner {attr} events"
+                metric, f"planner {attr} events", **labels
             ).inc()
 
     # -- cost model ---------------------------------------------------------
@@ -268,8 +295,12 @@ class QueryPlanner:
     def plan(self, node, state, interp=None) -> Plan:
         """Compile ``node`` (raising :class:`~repro.errors.PlanError` when it
         is outside the fragment) and build the physical operator tree the
-        executor would run at ``state``, annotated with row estimates."""
+        executor would run at ``state``, annotated with row estimates.  With
+        a ``PartialModel`` as ``state`` the tree is ``node``'s window plan."""
         try:
+            if not isinstance(state, State):
+                q = compile_window(node, interp)
+                return Plan(q, self._window_op(q))
             if isinstance(node, SetFormer):
                 q = compile_set_former(node, interp)
             elif isinstance(node, Forall):
@@ -299,6 +330,27 @@ class QueryPlanner:
 
         walk(root)
         return Plan(q, root, annotate=lambda op: notes.get(id(op)))
+
+    def _window_op(self, q):
+        """A window plan as the executor joins it: one scan per tuple
+        variable (its slots side by side), hash-joined in prefix order; the
+        root keeps the rows that fail the conclusion — the violations."""
+        root = None
+        for group, (local, keys, residual) in zip(q.groups, _exec.window_stages(q)):
+            *head, last = group
+            names = " ".join([f"{s.var.name}(#{s.slot})" for s in head] + [last.var.name])
+            arity = last.var.sort.arity
+            scan = ir.Scan(f"tup({arity})", arity, last.slot, names, tuple(local))
+            root = scan if root is None else ir.HashJoin(
+                root,
+                scan,
+                tuple(other for other, _ in keys),
+                tuple(mine for _, mine in keys),
+                tuple(residual),
+            )
+        if q.residuals:
+            root = ir.Select(root, q.residuals)
+        return ir.Select(root, q.conclusion, negated=True)
 
     def _build_op(self, q, state):
         if isinstance(q, RelQuery):
@@ -368,31 +420,34 @@ class QueryPlanner:
         )
 
     def eval_quantifier(self, interp, state, formula, env):
+        """A quantifier at ``state`` — or, with a ``PartialModel`` in the
+        state position, a closed s-formula over its whole window."""
         if not self._active():
             return False, None
-        if isinstance(formula, Forall):
-            q = self._compiled(
-                formula, interp, lambda: compile_forall(formula, interp)
-            )
-            if q is None:
-                return False, None
-            runner = lambda: _exec.run_forall(self, interp, state, env, q)
-            label = "forall"
+        window = not isinstance(state, State)
+        if window:
+            from repro.constraints.semantics import Evaluator
+
+            label, compile_fn, run = "window", compile_window, _exec.run_window
+            oracle = lambda: Evaluator(state).holds(formula)
         else:
-            q = self._compiled(
-                formula, interp, lambda: compile_exists(formula, interp)
-            )
-            if q is None:
-                return False, None
-            runner = lambda: _exec.run_chain(self, interp, state, env, q)
-            label = "exists"
+            if isinstance(formula, Forall):
+                label, compile_fn, run = "forall", compile_forall, _exec.run_forall
+            else:
+                label, compile_fn, run = "exists", compile_exists, _exec.run_chain
+            oracle = lambda: interp._bool(state, formula, env)
+        q = self._compiled(
+            formula, interp, lambda: compile_fn(formula, interp), window
+        )
+        if q is None:
+            return False, None
         return self._execute(
             interp,
             state,
             env,
             label=label,
-            runner=runner,
-            oracle=lambda: interp._bool(state, formula, env),
+            runner=lambda: run(self, interp, state, env, q),
+            oracle=oracle,
         )
 
     def eval_foreach_domain(self, interp, state, fluent, env):
@@ -449,9 +504,9 @@ class QueryPlanner:
             try:
                 value = runner()
             except Unplannable:
-                self._count("repro_planner_fallback_total", "fallback")
+                self._count("repro_planner_evals_total", "fallback", outcome="fallback")
                 return False, None
-            self._count("repro_planner_exec_total", "exec")
+            self._count("repro_planner_evals_total", "exec", outcome="planned")
             if self._chaos_corrupt:
                 value = _corrupt(value)
             if self.verify:
@@ -480,7 +535,7 @@ def _join_op(cls, left, lv, preds):
     """``left ⋈ Scan(lv)`` as the executor's probe table will run it: local
     predicates pushed into the scan, equi keys, residual filters.  With no
     ``left`` (the first level placed) it is the bare scan."""
-    local, keys, residual = _exec.split_preds(preds, lv.slot)
+    local, keys, residual = _exec.split_preds(preds, {lv.slot})
     scan = ir.Scan(lv.rel, lv.arity, lv.slot, lv.var.name, tuple(local))
     if left is None:
         return scan

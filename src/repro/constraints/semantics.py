@@ -133,9 +133,11 @@ class PartialModel:
         return self.graph.transitions_from(state, self.max_transition_length)
 
     def all_transitions(self) -> list[Transition]:
-        seen: list[Transition] = []
+        """Λ once — it is the same transition at every state — then each
+        state's arcs and their compositions."""
+        seen: list[Transition] = [Transition(())]
         for state in self.states():
-            seen.extend(self.transitions_from(state))
+            seen.extend(tr for tr in self.transitions_from(state) if not tr.is_null)
         return seen
 
     def tuple_domain(self, arity: int) -> list[DBTuple]:
@@ -157,6 +159,7 @@ class Evaluator:
     """Evaluates closed s-formulas against a :class:`PartialModel`."""
 
     model: PartialModel
+    _domains: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- formulas ----------------------------------------------------------------
 
@@ -181,6 +184,15 @@ class Evaluator:
         if isinstance(formula, Iff):
             return self._formula(formula.lhs, env) == self._formula(formula.rhs, env)
         if isinstance(formula, Forall):
+            planner = self.model.interpreter.planner
+            if planner is not None and not env.bindings:
+                # Where a constraint check starts: the planner may answer from
+                # a window plan; this walk stays the definition (and its oracle).
+                handled, value = planner.eval_quantifier(
+                    self.model.interpreter, self.model, formula, env
+                )
+                if handled:
+                    return value
             return self._quantified(formula.var, formula.body, env, universal=True)
         if isinstance(formula, Exists):
             return self._quantified(formula.var, formula.body, env, universal=False)
@@ -210,7 +222,10 @@ class Evaluator:
         raise EvaluationError(f"cannot evaluate s-formula {type(formula).__name__}")
 
     def _quantified(self, var: Var, body: Formula, env: Env, universal: bool) -> bool:
-        for value in self._domain(var):
+        domain = self._domains.get(var)
+        if domain is None:  # once per evaluator: the model does not change
+            domain = self._domains[var] = list(self._domain(var))
+        for value in domain:
             inner = env.bind(var, value)
             try:
                 result = self._formula(body, inner)

@@ -249,6 +249,13 @@ class Database:
         :meth:`query`, and server ``QUERY`` evaluation all go through the
         same interpreter, so all three accelerate.
 
+        A transaction constraint — a closed ``forall`` prefix over states,
+        transitions and tuples — is planned as a whole: a *window plan*
+        joins the versions of the history window instead of walking every
+        binding.  The situational evaluator's walk stays the definition: it
+        answers what is outside the fragment (``planner.plan(formula,
+        model)`` raises the reason) and every ``verify=`` cross-check.
+
         ``verify=True`` cross-checks every planned answer against the tree
         walk and raises :class:`~repro.errors.PlannerMismatch` on any
         difference.  ``quarantine=True`` (implies verify) degrades

@@ -132,3 +132,47 @@ class TestDomains:
         e = domain.emp.var("e")
         with pytest.raises(EvaluationError):
             Evaluator(model).holds(b.member(e, domain.emp.rel()))
+
+
+class TestTheWalkDoesNotRepeatItself:
+    """The fallback walk: Λ is one transition, and a quantifier's domain is
+    computed once per evaluator, not once per enclosing binding."""
+
+    def test_null_transition_is_enumerated_once(self, model):
+        transitions = model.all_transitions()
+        assert [tr.is_null for tr in transitions].count(True) == 1
+        # 3 direct-or-composed arcs of a 3-state chain, plus Λ.
+        assert sorted(len(tr) for tr in transitions) == [0, 1, 1, 2]
+
+    def test_each_state_pair_body_is_evaluated_once(self, domain, states):
+        from collections import Counter
+
+        from repro.transactions.interpreter import Interpreter
+
+        seen = Counter()
+
+        class Counting(Interpreter):
+            def eval_formula(self, state, formula, env=None):
+                seen[states.index(state)] += 1
+                return super().eval_formula(state, formula, env)
+
+        model = PartialModel(chain_graph(states), Counting())
+        s, t = b.state_var("s"), b.trans_var("t")
+        f = b.forall(
+            [s, t], b.holds(b.after(s, t), domain.employed(b.atom("alice")))
+        )
+        assert Evaluator(model).holds(f)
+        # The applicable (s, s;t) pairs of a 3-state chain, by target state:
+        # (0,0) (0,1) (0,2) (1,1) (1,2) (2,2) — each body once.
+        assert seen == Counter({0: 1, 1: 2, 2: 3})
+
+    def test_domains_are_computed_once_per_evaluator(self, domain, model, monkeypatch):
+        calls = []
+        tuple_domain = PartialModel.tuple_domain
+        monkeypatch.setattr(
+            PartialModel,
+            "tuple_domain",
+            lambda self, arity: calls.append(arity) or tuple_domain(self, arity),
+        )
+        assert Evaluator(model).holds(domain.once_married().formula)
+        assert calls == [5]
