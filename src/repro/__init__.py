@@ -81,7 +81,7 @@ from repro.db import (
     state_from_rows,
 )
 from repro.domains import EmployeeDomain, make_domain
-from repro.engine import Database
+from repro.engine import Database, UnenforcedConstraintWarning
 from repro.errors import (
     BudgetExceeded,
     Cancelled,
@@ -182,7 +182,7 @@ __all__ = [
     "analyze", "check_state", "check_history", "check_transition",
     "validate_window",
     # engine, domain, lang
-    "Database", "EmployeeDomain", "make_domain",
+    "Database", "UnenforcedConstraintWarning", "EmployeeDomain", "make_domain",
     "parse", "parse_formula", "parse_transaction",
     # concurrent
     "TransactionManager", "TransactionOutcome", "TransactionStatus",

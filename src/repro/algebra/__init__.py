@@ -2,9 +2,11 @@
 
 The tree-walk interpreter of :mod:`repro.transactions.interpreter` is the
 semantics; this package is an *accelerator* for its read-only fragment:
-set formers, ``exists`` chains, guarded ``forall`` constraints, and
-aggregates compile to hash-join plans that answer in O(n + m) where the
-tree walk nests enumerations.  Values, canonical enumeration order,
+set formers, ``exists`` chains, guarded ``forall`` constraints,
+aggregates (also under a comparison: a group-by hash aggregate per relation
+version) and the paper's closed transaction constraints compile to
+hash-join plans that answer in O(n + m) where the tree walk nests
+enumerations.  Values, canonical enumeration order,
 ``Budget`` enforcement and error classes replicate the tree walk; the
 ``_touch`` read set follows one contract instead — the relations the plan
 names plus the owners of its parameters, a superset of the tree walk's
@@ -38,6 +40,8 @@ from repro.algebra.ir import (
     Cmp,
     Col,
     Disj,
+    GroupAgg,
+    GroupBy,
     HashJoin,
     Lit,
     ParamRef,
@@ -67,6 +71,8 @@ __all__ = [
     "compile_set_former",
     "Disj",
     "ForallQuery",
+    "GroupAgg",
+    "GroupBy",
     "HashJoin",
     "Incompilable",
     "Lit",

@@ -12,6 +12,10 @@ computable from the plan alone (the contract in
   selections of bound variables, atom constants, and environment
   parameters — which never touch a relation; an ``or`` of such predicates
   compiles to a :class:`~repro.algebra.ir.Disj`;
+* an operand may be ``sum``/``max``/``min``/``size`` of a one-variable set
+  former tied to the enclosing row by equalities only: a
+  :class:`~repro.algebra.ir.GroupAgg`, whose relation the plan names like
+  any level and whose group table depends on that relation version alone;
 * a conjunction may end in a *sequence* of quantified conjuncts: each
   positive ``exists`` flattens into further join levels (its own scope
   group), and the final one may be a ``not exists`` (anti join);
@@ -32,15 +36,19 @@ computable from the plan alone (the contract in
   variable, state term)* pair ``v@w``, so the predicates above are reused
   as they are.  Tuple variables range over the window's whole active
   domain, so an ordered comparison must sit behind a positive membership
-  of its slot, whose relation types the column.
+  of its slot, whose relation types the column.  Two edges of the shape:
+  ``(w;delete(v, R))::φ`` is first *regressed* to ``w::φ′`` through the
+  delete action and frame axioms (:mod:`repro.theory.regression`), and a
+  prefix with no tuple variable — a static ``forall s. s::p`` — is the
+  degenerate plan, no join and ``p`` a residual per state.
 
 Anything else — defined/skolem/state-changing symbols, other situational
-nodes (a concrete transaction in a state term, nested state or transition
-quantifiers, transition equalities, other prefix sorts), memberships
-swallowed inside a disjunction, set-valued or atom-sorted bound
-variables, double memberships — raises :class:`Incompilable`, and the
-planner falls back to the tree walk.  Fallback is always sound: the tree
-walk is the semantics.
+nodes (any other concrete transaction in a state term, nested state or
+transition quantifiers, transition equalities, other prefix sorts),
+memberships swallowed inside a disjunction, an aggregate correlated by
+more than equalities, set-valued or atom-sorted bound variables, double
+memberships — raises :class:`Incompilable`, and the planner falls back to
+the tree walk.  Fallback is always sound: the tree walk is the semantics.
 
 This mirrors the eligibility analysis of :mod:`repro.eval.footprint`: walk
 the tree, accumulate structure, record the first blocking reason.
@@ -56,12 +64,12 @@ from repro.logic.formulas import And, Eq, Exists, Forall, Formula, Implies, Not,
 from repro.logic.formulas import EvalBool, Quant, SPred
 from repro.logic.substitution import Substitution
 from repro.logic.symbols import SymbolKind
-from repro.logic.terms import App, AtomConst, Expr, Layer, RelConst, Var
+from repro.logic.terms import App, AtomConst, Expr, Layer, RelConst, RelIdConst, Var
 from repro.logic.terms import EvalObj, EvalState, SApp
 from repro.transactions.interpreter import _base_name, _conjuncts
 
-from repro.algebra.ir import Arith, Cmp, Col, Disj, Lit, ParamRef, ValueExpr
-from repro.algebra.ir import Member, Residual
+from repro.algebra.ir import Arith, Cmp, Col, Disj, GroupAgg, Lit, ParamRef, ValueExpr
+from repro.algebra.ir import Member, Residual, aggs_of
 
 
 class Incompilable(Exception):
@@ -125,9 +133,10 @@ class ChainQuery:
     """A set former, ``exists`` chain, or ``foreach`` domain: joined
     levels, predicates, an optional trailing anti join *or* union branches
     (never both), (for set formers / foreach) the projection, the node's
-    free variables — the parameters the executor dereferences — and the
+    free variables — the parameters the executor dereferences — the
     run-time ``checks`` under which no predicate can raise
-    (:func:`_totality_checks`)."""
+    (:func:`_totality_checks`), and the group-by sub-plans (``aggs``) its
+    predicates read."""
 
     levels: tuple[Level, ...]
     preds: tuple  # Cmp | Disj
@@ -137,6 +146,7 @@ class ChainQuery:
     alts: tuple[AltBranch, ...] = ()
     params: tuple[Var, ...] = ()
     checks: tuple = ()
+    aggs: tuple[GroupAgg, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,7 @@ class ForallQuery:
     negated: bool
     params: tuple[Var, ...] = ()
     checks: tuple = ()
+    aggs: tuple[GroupAgg, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -178,7 +189,12 @@ class WindowQuery:
     prefix order, one slot per term it is read at; ``preds`` the premise's
     memberships and pure predicates in source order, ``residuals`` the
     ``w::p`` conjuncts that close it, ``conclusion`` a conjunction of any of
-    them; ``checks`` the integer columns under which no predicate raises."""
+    them; ``checks`` the integer columns under which no predicate raises;
+    ``regressed`` one ``(relation, arity, label)`` per state term
+    ``w;delete(v, R)`` rewritten away — the executor shows, at each state,
+    that the axioms used describe the interpreter there.
+    No tuple variable (a static ``forall s. s::p``) is the degenerate plan:
+    no join, one empty row per state, ``p`` a residual of the conclusion."""
 
     terms: tuple[tuple[Optional[int], str], ...]
     groups: tuple[tuple[Slot, ...], ...]
@@ -186,6 +202,7 @@ class WindowQuery:
     residuals: tuple[Residual, ...]
     conclusion: tuple  # Member | Cmp | Disj | Residual
     checks: tuple = ()
+    regressed: tuple[tuple[str, int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -269,14 +286,55 @@ def _compile_value(expr: Expr, slots: dict[Var, int]) -> ValueExpr:
             # Binary natural arithmetic is pure (operands are values, the
             # executor replicates _arithmetic exactly, including truncated
             # subtraction and the div/mod-by-zero error contract).
-            # Aggregates (sum/max/min/size over sets) stay out: they touch.
             return Arith(
                 base,
                 _compile_value(expr.args[0], slots),
                 _compile_value(expr.args[1], slots),
             )
+        if sym.kind is SymbolKind.ARITHMETIC and base in ("sum", "max", "min", "size"):
+            return _compile_group_agg(base, expr.args[0], slots)
         raise Incompilable(f"function {sym.name} in condition")
     raise Incompilable(f"{type(expr).__name__} in condition")
+
+
+def _compile_group_agg(op: str, former: Expr, slots: dict[Var, int]) -> GroupAgg:
+    """``op`` of a set former over one relation whose every link to the
+    enclosing row is an equality: each conjunct either reads the aggregated
+    row alone (``local``) or equates an expression over it with one that
+    does not mention it (a group key).  The aggregated side takes no
+    parameter, so its table depends on the relation version only."""
+    if not isinstance(former, SetFormer) or len(former.bound) != 1:
+        raise Incompilable(f"{op} of anything but a one-variable set former")
+    var = former.bound[0]
+    if var in slots:
+        raise Incompilable(f"rebinding of {var.name}")
+    conjuncts = _conjuncts(former.cond)
+    domain = _domain_of(var, conjuncts)
+    own = {var: 0}
+    local: list = []
+    keys: list = []
+    for c in conjuncts:
+        if _is_member(c) and c.args[0] == var:
+            continue
+        if c.free_vars() <= {var}:
+            local.append(_compile_pred(c, own))
+            continue
+        sides = ((c.lhs, c.rhs), (c.rhs, c.lhs)) if isinstance(c, Eq) else ()
+        for mine, other in sides:
+            if mine.free_vars() == {var} and var not in other.free_vars():
+                keys.append((_compile_value(other, slots), _compile_value(mine, own)))
+                break
+        else:
+            raise Incompilable(f"{op}: {var.name} is correlated by more than an equality")
+    if not former.result.free_vars() <= {var}:
+        raise Incompilable(f"{op}: the result reads the enclosing row")
+    result = _compile_result(former, own)
+    if any(aggs_of([*local, *(mine for _, mine in keys), *result.exprs])):
+        raise Incompilable(f"{op}: an aggregate over the aggregated row")
+    return GroupAgg(
+        op, domain.name, domain.arity, var, result.exprs, result.whole,
+        tuple(local), tuple(keys),
+    )
 
 
 def _index_of(inner: ValueExpr, index: int, expr: Expr) -> ValueExpr:
@@ -360,11 +418,26 @@ def _totality_checks(groups) -> tuple:
                     checks.append(("nonzero", e.rhs))
                 elif not (isinstance(e.rhs, Lit) and e.rhs.value):
                     raise Incompilable("divisor is not a non-zero constant")
+        elif isinstance(e, GroupAgg):
+            aggregate(e, by_slot)
         else:
             checks.append(("int", e))
 
+    def aggregate(e, by_slot) -> None:
+        """An aggregate is an integer where its group is not empty (the
+        executor hands ``max``/``min`` of an empty group back); no cell the
+        walk would add up or compare may be a non-integer."""
+        own = {0: Level(e.var, 0, e.rel, e.arity)}
+        for p in e.local:
+            total(p, own)
+        for other, mine in e.keys:
+            defined(other, by_slot)
+            defined(mine, own)
+        if e.op != "size":
+            integer(Col(0, 1) if e.whole else e.exprs[0], own)
+
     def defined(e, by_slot) -> None:
-        if isinstance(e, Arith):
+        if isinstance(e, (Arith, GroupAgg)):
             integer(e, by_slot)
         elif isinstance(e, Col) and e.index > by_slot[e.slot].arity:
             raise Incompilable(f"selection {e.index} out of range")
@@ -574,15 +647,19 @@ def _chain_query(kind, bound, cond, params, make_result) -> ChainQuery:
     for branch in alts:
         inner = [] if branch.level is None else [branch.level]
         groups.append(([*levels, *inner], branch.preds + branch.inner_preds))
+    result = make_result(slots)
+    if result is not None and any(aggs_of(result.exprs)):
+        raise Incompilable("aggregate in a projection")
     return ChainQuery(
         tuple(levels),
         tuple(preds),
         sub,
         kind,
-        make_result(slots),
+        result,
         alts,
         params,
         _totality_checks(groups),
+        tuple(dict.fromkeys(aggs_of(p for _, group in groups for p in group))),
     )
 
 
@@ -691,6 +768,9 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
         else:
             pre_preds.append(_compile_pred(c, slots))
     guard = Level(var, 0, domain.name, domain.arity)
+    groups = [([guard], guard_preds + pre_preds)]
+    if body_level is not None:
+        groups.append(([guard, body_level], body_preds))
     return ForallQuery(
         var,
         var.sort.arity,
@@ -701,11 +781,8 @@ def compile_forall(formula: Forall, interp=None) -> ForallQuery:
         tuple(body_preds),
         negated,
         _params(formula),
-        _totality_checks(
-            [([guard], guard_preds + pre_preds), ([guard, body_level], body_preds)]
-            if body_level is not None
-            else [([guard], guard_preds + pre_preds)]
-        ),
+        _totality_checks(groups),
+        tuple(dict.fromkeys(aggs_of(guard_preds + pre_preds + body_preds))),
     )
 
 
@@ -774,9 +851,41 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
             renaming[var] = slot_vars[var, t]
         return Substitution(renaming).apply(node), renaming
 
+    regressed: list = []
+
+    def regress(node):
+        """``(w;a)::φ`` / ``(w;a):e`` with ``a`` the concrete ``delete(v, R)``:
+        the same node at ``w``, pushed back through the delete action and
+        frame axioms.  They describe the interpreter where ``R`` holds no
+        two rows of one value and no candidate is a stale copy of a row of
+        ``R`` — ``run_window`` checks both at every state of the window."""
+        state = node.state
+        if not isinstance(state, EvalState) or isinstance(state.trans, Var):
+            return node
+        w, a = state.state, state.trans
+        if not (
+            isinstance(a, App)
+            and _base_name(a.symbol.name) == "delete"
+            and a.args[0] in tuple_vars
+            and isinstance(a.args[1], RelIdConst)
+        ):
+            raise Incompilable(f"concrete transaction in state term {state}")
+        # Imported where a formula first needs it: ``import repro`` (every
+        # server start) does not otherwise load the theory package.
+        from repro.theory.regression import NotRegressable, regress_expr, regress_formula
+
+        regressed.append((a.args[1].name, a.args[1].arity, str(state)))
+        try:
+            if isinstance(node, EvalBool):
+                return EvalBool(w, regress_formula(node.formula, a))
+            return EvalObj(w, regress_expr(node.expr, a))
+        except NotRegressable as exc:
+            raise Incompilable(str(exc)) from None
+
     def lower(node):
         """The f-node an s-node denotes once each ``w:e`` reads its slots."""
         if isinstance(node, EvalObj):
+            node = regress(node)
             return at(term(node.state), node.expr)[0]
         if isinstance(node, Var):
             raise Incompilable(f"variable {node.name} outside a state term")
@@ -787,7 +896,22 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
 
     def pure(f: Formula):
         _check_symbols(f, interp)
-        return _compile_pred(f, slots)
+        p = _compile_pred(f, slots)
+        if any(aggs_of([p])):
+            # Its relation would be read at one term's state: a residual.
+            raise Incompilable("aggregate in a window predicate")
+        return p
+
+    def atoms(f: Formula):
+        """The conjuncts of ``f``, with ``w::(p ∧ q)`` read as ``w::p ∧ w::q``."""
+        for c in _conjuncts(f):
+            if isinstance(c, EvalBool):
+                c = regress(c)
+            if isinstance(c, EvalBool) and isinstance(c.formula, And):
+                for inner in _conjuncts(c.formula):
+                    yield atom(EvalBool(c.state, inner))
+            else:
+                yield atom(c)
 
     def atom(f: Formula):
         negated = isinstance(f, Not) and isinstance(f.body, EvalBool)
@@ -795,6 +919,7 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
             f = f.body
         if not isinstance(f, EvalBool):
             return pure(lower(f))
+        f = regress(f)
         t, inner = term(f.state), f.formula
         if isinstance(inner, Not) and _is_member(inner.body):
             negated, inner = not negated, inner.body
@@ -827,7 +952,7 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
     preds: list = []
     residuals: list[Residual] = []
     if isinstance(body, Implies):
-        for p in map(atom, _conjuncts(body.antecedent)):
+        for p in atoms(body.antecedent):
             if isinstance(p, Residual):
                 residuals.append(p)
                 continue
@@ -838,20 +963,16 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
             total(p)
             preds.append(p)
         body = body.consequent
-    conclusion = [atom(c) for c in _conjuncts(body)]
+    conclusion = list(atoms(body))
     for p in conclusion:
         total(p)
     groups = tuple(
         tuple(Slot(sv, slots[sv], t) for (var, t), sv in slot_vars.items() if var == v)
         for v in tuple_vars
     )
-    if not groups:
-        # A static constraint ``forall s. s::p``: the walk already hands
-        # ``p`` to the single-state planner once per state.
-        raise Incompilable("no tuple variable to join across states")
     if not all(groups):
         raise Incompilable("a tuple variable of the prefix is unused")
-    shape = (preds, residuals, conclusion, dict.fromkeys(checks))
+    shape = (preds, residuals, conclusion, dict.fromkeys(checks), dict.fromkeys(regressed))
     return WindowQuery(tuple(terms), groups, *map(tuple, shape))
 
 

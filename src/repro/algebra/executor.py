@@ -10,8 +10,9 @@ indexes instead of nested enumeration).  Its obligations:
    oracle cross-checks) observes.
 2. **The read-set contract** — a plan's read set is the relations the
    plan names (its levels, its ``not exists``/union/``forall`` body
-   levels, the ``forall`` arity class) plus the owners of the parameters
-   it dereferences: a sound superset of the tree walk's touches, bounded
+   levels, the relations its group-by sub-plans aggregate, the ``forall``
+   arity class) plus the owners of the parameters it dereferences: a
+   sound superset of the tree walk's touches, bounded
    above by a set computable from the plan alone.  :func:`_open` reports
    it through ``_touch`` before any join runs, so join order, pushdown
    and early exits never change it (DESIGN.md §7.6 says why a superset
@@ -37,9 +38,14 @@ A *window plan* (:func:`run_window`) answers a closed s-formula over a
 active-domain candidates, dereferenced once per state they are read at,
 for every distinct applicable binding of the state terms; it reports every
 relation of every window state as read; whatever could raise goes back.
+A state term ``w;delete(v, R)`` the compiler regressed away runs only where
+the delete axioms describe the interpreter (``_window_holds``); a prefix
+with no tuple variable joins nothing and reads what its residuals read.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from repro.db.values import DBTuple, TupleSet
 from repro.errors import (
@@ -61,7 +67,7 @@ from repro.algebra.compiler import (
     SetOpQuery,
     WindowQuery,
 )
-from repro.algebra.ir import Arith, Col, Disj, Lit, Member, ParamRef
+from repro.algebra.ir import Arith, Col, Disj, GroupAgg, Lit, Member, ParamRef
 
 
 class Unplannable(Exception):
@@ -73,9 +79,10 @@ class Unplannable(Exception):
 
 class Ctx:
     """Per-evaluation context: the interpreter seams plus the plan's
-    parameters, dereferenced once by :func:`_open`.  For a window plan
-    ``state`` is the tuple of states bound to its terms and the parameters
-    are relation versions: ``params[term, rel]``, ``rel``'s value set there."""
+    parameters, dereferenced once by :func:`_open`, and its group-by tables
+    (``params[agg]``).  For a window plan ``state`` is the tuple of states
+    bound to its terms and the parameters are relation versions:
+    ``params[term, rel]``, ``rel``'s value set there."""
 
     __slots__ = ("interp", "state", "params")
 
@@ -87,11 +94,13 @@ class Ctx:
 
 def _open(planner, interp, state, env, levels, q, *also: str) -> Ctx:
     """Report the plan's whole read set, up front: one ``_touch`` per
-    relation named by ``levels`` (and ``also``, the ``forall`` arity
-    class), and every parameter of ``q`` dereferenced (which touches its
-    owner).  Hands the node back to the tree walk when the state does not
-    fit the plan, or when ``q.checks`` cannot rule out that a predicate
-    raises on it (:func:`repro.algebra.compiler._totality_checks`)."""
+    relation named by ``levels`` and by ``q.aggs`` (and ``also``, the
+    ``forall`` arity class), and every parameter of ``q`` dereferenced
+    (which touches its owner).  Hands the node back to the tree walk when
+    the state does not fit the plan, or when ``q.checks`` cannot rule out
+    that a predicate raises on it
+    (:func:`repro.algebra.compiler._totality_checks`)."""
+    levels = [*levels, *q.aggs]
     for lv in levels:
         relation = state.relations.get(lv.rel)
         if relation is None or relation.arity != lv.arity:
@@ -121,6 +130,8 @@ def _open(planner, interp, state, env, levels, q, *also: str) -> Ctx:
         interp._touch(state, lv.rel)
     if also:
         interp._touch(state, *also)
+    for agg in q.aggs:
+        values[agg] = _group_table(planner, interp, state.relations[agg.rel], agg)
     return ctx
 
 
@@ -165,6 +176,15 @@ def _value(ctx: Ctx, row, expr):
                 raise EvaluationError("modulo by zero")
             return a % c
         raise EvaluationError(f"unknown arithmetic function {expr.op}")
+    if isinstance(expr, GroupAgg):
+        key = tuple(_key_of(_value(ctx, row, other)) for other, _ in expr.keys)
+        found = ctx.params[expr].get(key)
+        if found is None:
+            if expr.op in ("max", "min"):
+                # The walk raises here, if it gets here: its call.
+                raise Unplannable(f"{expr.op} of an empty group")
+            return 0
+        return found
     raise EvaluationError(f"unknown plan expression {expr!r}")
 
 
@@ -224,6 +244,8 @@ def _expr_slots(e) -> set[int]:
         return {e.slot}
     if isinstance(e, Arith):
         return _expr_slots(e.lhs) | _expr_slots(e.rhs)
+    if isinstance(e, GroupAgg):
+        return set().union(*(_expr_slots(other) for other, _ in e.keys))
     return set()
 
 
@@ -289,6 +311,35 @@ def _equi_key(p, slots: set[int]):
 # ---------------------------------------------------------------------------
 # scans and probe tables
 # ---------------------------------------------------------------------------
+
+
+def _group_table(planner, interp, relation, agg: GroupAgg) -> dict:
+    """The decorrelated aggregate: group key to ``agg.op`` of the *set* of
+    result tuples of the rows under that key (50 and 50 sum to 50, as
+    ``TupleSet`` has it), built once per relation version.  The compiler's
+    checks have run: the cells it folds are integers."""
+
+    def build() -> dict:
+        if len(relation) > interp.max_enumeration:
+            raise Unplannable(f"enumeration of {agg.var.name} exceeds max_enumeration")
+        ctx = Ctx(interp, None, {})
+        groups: dict = {}
+        try:
+            for t in planner.reps_of(relation):
+                if interp.budget is not None:
+                    interp.budget.tick()
+                row = (t,)
+                if all(_holds(ctx, row, p) for p in agg.local):
+                    key = tuple(_key_of(_value(ctx, row, mine)) for _, mine in agg.keys)
+                    groups.setdefault(key, set()).add(_element(ctx, row, agg).values)
+        except EvaluationError as exc:
+            raise Unplannable(f"{agg.op}: {exc}") from None
+        if agg.op == "size":
+            return {key: len(elements) for key, elements in groups.items()}
+        fold = {"sum": sum, "max": max, "min": min}[agg.op]
+        return {key: fold(v[0] for v in elements) for key, elements in groups.items()}
+
+    return planner._cached(relation, agg, build)
 
 
 def _scan(planner, ctx: Ctx, level: Level, preds) -> list:
@@ -459,27 +510,27 @@ def run_chain(planner, interp, state, env, q: ChainQuery):
     rows.sort(key=lambda r: tuple(_tuple_order_key(r[s]) for s in slots))
     budget = interp.budget
     collected: list[DBTuple] = []
-    result = q.result
     for row in rows:
-        if result.whole:
-            element = row[result.exprs[0].slot]
-        elif len(result.exprs) == 1 and not _is_mktuple(result):
-            value = _value(ctx, row, result.exprs[0])
-            if isinstance(value, DBTuple):
-                element = value
-            elif isinstance(value, (int, str)) and not isinstance(value, bool):
-                element = DBTuple(None, (value,))
-            else:
-                raise EvaluationError(
-                    f"set former result must be a tuple or atom, got {value!r}"
-                )
-        else:
-            values = tuple(_atom_of(_value(ctx, row, e)) for e in result.exprs)
-            element = DBTuple(None, values)
-        collected.append(element)
+        collected.append(_element(ctx, row, q.result))
         if budget is not None:
             budget.count_derived(1)
-    return TupleSet.of(result.element_arity, collected)
+    return TupleSet.of(q.result.element_arity, collected)
+
+
+def _element(ctx: Ctx, row, result) -> DBTuple:
+    """One row's projection, as the tree walk's set former collects it."""
+    if result.whole:
+        return row[result.exprs[0].slot]
+    if len(result.exprs) == 1 and not _is_mktuple(result):
+        value = _value(ctx, row, result.exprs[0])
+        if isinstance(value, DBTuple):
+            return value
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return DBTuple(None, (value,))
+        raise EvaluationError(
+            f"set former result must be a tuple or atom, got {value!r}"
+        )
+    return DBTuple(None, tuple(_atom_of(_value(ctx, row, e)) for e in result.exprs))
 
 
 def _is_mktuple(result) -> bool:
@@ -636,15 +687,16 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
         for _, (name, index) in q.checks:
             if not planner.int_columns(state.relations[name])[index - 1]:
                 raise Unplannable(f"a predicate may raise: column {name}.{index}")
-        # Candidates come from every relation of a variable's arity and a
-        # dead identifier dereferences against all of them.
-        interp._touch(state, *state.relation_names())
+        if q.groups:
+            # Candidates come from every relation of a variable's arity and
+            # a dead identifier dereferences against all of them.
+            interp._touch(state, *state.relation_names())
     # Each arity's active-domain candidates as they exist at each state:
     # dereferenced by identifier, the bound snapshot where it is dead —
     # ``Interpreter._deref`` once per (candidate, state), not per row.
     derefs: dict = {}
-    for arity in {group[0].var.sort.arity for group in q.groups}:
-        domain = model.tuple_domain(arity)
+    domains = {a: model.tuple_domain(a) for a in {g[0].var.sort.arity for g in q.groups}}
+    for arity, domain in domains.items():
         for state in states:
             found = [state.lookup_tuple(c.tid) or c for c in domain]
             if any(t.arity != arity for t in found):
@@ -653,6 +705,19 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
                 for _ in found:
                     interp.budget.tick()
             derefs[state, arity] = found
+    for state, (name, arity, label) in itertools.product(states, q.regressed):
+        # Where the delete axioms are the interpreter: ``name`` is a set of
+        # values (deleting one row removes its value), and the row that goes
+        # reads the same dead — no candidate is an older copy of it.
+        relation = state.relations.get(name)
+        if relation is None:
+            raise Unplannable(name)
+        stale = (
+            t.values != c.values and state.owner_of(c.tid) == name
+            for c, t in zip(domains[arity], derefs[state, arity])
+        )
+        if len(planner.values_of(relation)) != len(relation) or any(stale):
+            raise Unplannable(f"{label}: the delete axioms do not describe this state")
     stages = window_stages(q)
     holds = True
     for bound in _assignments(model, states, q.terms):

@@ -2,7 +2,9 @@
 
 The compiler (:mod:`repro.algebra.compiler`) lowers a set former, an
 ``exists`` chain, a guarded ``forall``, or a closed s-formula over a window
-of states into a small tree of these operators; the planner
+of states into a small tree of these operators — an aggregate under a
+comparison becomes a scalar sub-plan (:class:`GroupAgg`) inside its
+predicate; the planner
 (:mod:`repro.algebra.planner`) annotates the tree
 with cardinality estimates and a physical join order; the executor
 (:mod:`repro.algebra.executor`) runs it against a :class:`~repro.db.state.
@@ -66,15 +68,38 @@ class Arith:
     rhs: "ValueExpr"
 
 
-ValueExpr = object  # Col | Lit | ParamRef | Arith
+@dataclass(frozen=True, eq=False)
+class GroupAgg:
+    """A scalar sub-plan: ``op`` (``sum``/``max``/``min``/``size``) of the
+    set ``{exprs | var in rel, local, mine = other …}`` per enclosing row,
+    decorrelated into a group-by hash aggregate.  ``exprs`` / ``local`` /
+    the ``mine`` side of each ``(other, mine)`` key read only the aggregated
+    row (slot 0 of a private one-slot row, no parameters), so one table per
+    relation version — key columns to the aggregate of the *set* of result
+    tuples — serves every enclosing row, state and environment; ``other``
+    is evaluated against the enclosing row.  Compared by identity: the node
+    keys its own table."""
+
+    op: str
+    rel: str
+    arity: int
+    var: Var
+    exprs: tuple["ValueExpr", ...]
+    whole: bool
+    local: tuple["Pred", ...]
+    keys: tuple[tuple["ValueExpr", "ValueExpr"], ...]
+
+
+ValueExpr = object  # Col | Lit | ParamRef | Arith | GroupAgg
 
 
 @dataclass(frozen=True)
 class Cmp:
     """A pure value predicate: ``lhs op rhs`` with ``op`` one of
-    ``eq ne lt le gt ge``.  Never touches a relation (operands are columns,
-    constants, or parameters), so predicates can be pushed down and
-    reordered freely."""
+    ``eq ne lt le gt ge``.  Never touches a relation during the join
+    (operands are columns, constants, parameters, or a :class:`GroupAgg`
+    whose table was opened before it), so predicates can be pushed down
+    and reordered freely."""
 
     op: str
     lhs: ValueExpr
@@ -221,7 +246,42 @@ class Aggregate:
     child: "Op"
 
 
-Op = object  # Scan | HashJoin | Select | SemiJoin | AntiJoin | Project | Union | Aggregate
+@dataclass(frozen=True)
+class GroupBy:
+    """``left`` with the scalar of one :class:`GroupAgg` attached to every
+    row: a left outer hash join with ``right`` grouped on the key columns
+    (an absent group is the empty set)."""
+
+    left: "Op"
+    right: Scan
+    agg: GroupAgg
+
+
+@dataclass(frozen=True)
+class Regress:
+    """``child`` was compiled with state term ``label`` (``w;delete(v, R)``)
+    pushed back to ``w`` through the delete action and frame axioms; it runs
+    where they describe the interpreter (``R`` value-distinct, no stale copy
+    of a row of ``R`` among the candidates)."""
+
+    child: "Op"
+    label: str
+
+
+Op = object  # Scan | HashJoin | Select | SemiJoin | AntiJoin | Project | Union | Aggregate | GroupBy | Regress
+
+
+def aggs_of(nodes):
+    """Every :class:`GroupAgg` under the given predicates and value
+    expressions — the sub-plans a query must open before it joins."""
+    for n in nodes:
+        if isinstance(n, GroupAgg):
+            yield n
+            yield from aggs_of(other for other, _ in n.keys)
+        elif isinstance(n, (Cmp, Arith)):
+            yield from aggs_of((n.lhs, n.rhs))
+        elif isinstance(n, Disj):
+            yield from aggs_of(c for branch in n.branches for c in branch)
 
 
 # ---------------------------------------------------------------------------
@@ -229,32 +289,38 @@ Op = object  # Scan | HashJoin | Select | SemiJoin | AntiJoin | Project | Union 
 # ---------------------------------------------------------------------------
 
 
-def _expr_str(e: ValueExpr) -> str:
+def _expr_str(e: ValueExpr, row: Optional[str] = None) -> str:
+    """``row`` names the aggregated row inside a :class:`GroupAgg`, whose
+    private slot 0 is not the enclosing plan's."""
     if isinstance(e, Col):
-        return f"#{e.slot}" if e.index == 0 else f"#{e.slot}.{e.index}"
+        slot = row or f"#{e.slot}"
+        return slot if e.index == 0 else f"{slot}.{e.index}"
     if isinstance(e, Lit):
         return repr(e.value)
     if isinstance(e, ParamRef):
         return f"${e.var.name}"
     if isinstance(e, Arith):
-        return f"({_expr_str(e.lhs)} {e.op} {_expr_str(e.rhs)})"
+        return f"({_expr_str(e.lhs, row)} {e.op} {_expr_str(e.rhs, row)})"
+    if isinstance(e, GroupAgg):
+        result = ", ".join(_expr_str(r, e.var.name) for r in e.exprs)
+        return f"{e.op}[{result}]"
     return repr(e)
 
 
 _OPS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def _pred_str(p) -> str:
+def _pred_str(p, row: Optional[str] = None) -> str:
     if isinstance(p, Member):
         return f"#{p.slot} {'not in' if p.negated else 'in'} {p.rel}"
     if isinstance(p, Residual):
         return f"{'not ' if p.negated else ''}[{p.formula}]"
     if isinstance(p, Disj):
         return " or ".join(
-            "(" + " and ".join(_pred_str(c) for c in branch) + ")"
+            "(" + " and ".join(_pred_str(c, row) for c in branch) + ")"
             for branch in p.branches
         )
-    return f"{_expr_str(p.lhs)} {_OPS[p.op]} {_expr_str(p.rhs)}"
+    return f"{_expr_str(p.lhs, row)} {_OPS[p.op]} {_expr_str(p.rhs, row)}"
 
 
 def render(op: Op, annotate=None, indent: int = 0) -> list[str]:
@@ -277,6 +343,19 @@ def render(op: Op, annotate=None, indent: int = 0) -> list[str]:
             else ""
         )
         return [line(f"Scan {op.rel} as {op.var_name}(#{op.slot}){preds}")]
+    if isinstance(op, GroupBy):
+        agg = op.agg
+        name = agg.var.name
+        by = " and ".join(
+            f"{_expr_str(mine, name)} = {_expr_str(other)}" for other, mine in agg.keys
+        ) or "true"
+        where = " and ".join(_pred_str(p, name) for p in agg.local)
+        where = f" where {where}" if where else ""
+        return [
+            line(f"GroupBy {_expr_str(agg)} by {by}{where}"),
+            *render(op.left, annotate, indent + 1),
+            *render(op.right, annotate, indent + 1),
+        ]
     if isinstance(op, (HashJoin, SemiJoin, AntiJoin)):
         name = type(op).__name__
         keys = " and ".join(
@@ -313,6 +392,11 @@ def render(op: Op, annotate=None, indent: int = 0) -> list[str]:
     if isinstance(op, Aggregate):
         return [
             line(f"Aggregate {op.op}"),
+            *render(op.child, annotate, indent + 1),
+        ]
+    if isinstance(op, Regress):
+        return [
+            line(f"Regress {op.label} by the delete axioms"),
             *render(op.child, annotate, indent + 1),
         ]
     return [line(type(op).__name__)]

@@ -12,7 +12,8 @@ algebra plan.  The quantifier hook has a second caller: the situational
 :class:`~repro.constraints.semantics.Evaluator` passes a closed ``forall``
 with its ``PartialModel`` in the state position and gets the verdict of a
 *window plan* — a transaction constraint as a join across the versions of
-a window.  Every evaluation counts in ``repro_planner_evals_total`` as
+a window, a static one as the degenerate plan with no join.  Every
+evaluation counts in ``repro_planner_evals_total`` as
 ``outcome="planned"`` or ``"fallback"``; :meth:`QueryPlanner.plan` says why.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
@@ -31,6 +32,7 @@ contract as the query cache and the incremental checker.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Optional
 
@@ -87,7 +89,6 @@ class QueryPlanner:
         quarantine: bool = False,
         metrics=None,
         max_plans: int = 512,
-        max_rep_cache: int = 256,
     ) -> None:
         self.quarantine = quarantine
         self.verify = verify or quarantine
@@ -95,10 +96,9 @@ class QueryPlanner:
         self.metrics = metrics
         self.stats = StatsCatalog()
         self.max_plans = max_plans
-        self.max_rep_cache = max_rep_cache
         self._plans: OrderedDict = OrderedDict()
         self._plans_by_id: dict = {}
-        self._derived: OrderedDict = OrderedDict()
+        self._derived: dict = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         # White-box seam for the chaos harness: when set, every planned
@@ -113,28 +113,30 @@ class QueryPlanner:
 
     # -- caches -------------------------------------------------------------
 
-    def _cached(self, key, build):
-        """Data derived from one relation, cached against the immutable
-        relation object in ``key`` (states share unchanged relations
-        structurally, so one entry serves every snapshot that didn't touch
-        the relation)."""
+    def _cached(self, relation, kind, build):
+        """Data derived from one immutable relation object (states share
+        unchanged relations structurally, so one entry serves every snapshot
+        that didn't touch the relation), held for as long as the relation
+        is: ``_derived`` maps ``id(relation)`` to a weak reference and a
+        ``{kind: data}`` table, dropped when the last state holding that
+        version is."""
+        key = id(relation)
         with self._lock:
-            got = self._derived.get(key)
-            if got is not None:
-                self._derived.move_to_end(key)
-                return got
-        got = build()
-        with self._lock:
-            self._derived[key] = got
-            while len(self._derived) > self.max_rep_cache:
-                self._derived.popitem(last=False)
+            entry = self._derived.get(key)
+            if entry is None:
+                drop = lambda _, key=key, table=self._derived: table.pop(key, None)
+                entry = self._derived[key] = (weakref.ref(relation, drop), {})
+            got = entry[1].get(kind)
+        if got is None:
+            got = entry[1][kind] = build()
         return got
 
     def reps_of(self, relation):
         """The relation's value-distinct representatives in the tree walk's
         canonical enumeration order."""
         return self._cached(
-            (relation, "reps"),
+            relation,
+            "reps",
             lambda: sorted(
                 relation.to_tuple_set().representatives, key=_tuple_order_key
             ),
@@ -150,13 +152,14 @@ class QueryPlanner:
                 table.setdefault(t.values[index - 1], []).append(t)
             return table
 
-        return self._cached((relation, index), build)
+        return self._cached(relation, index, build)
 
     def int_columns(self, relation) -> tuple:
         """Per column: does it hold integers only?  What the executor needs
         to know that a comparison or arithmetic over it cannot raise."""
         return self._cached(
-            (relation, "int"),
+            relation,
+            "int",
             lambda: tuple(
                 all(type(v) is int for v in column)
                 for column in zip(*(t.values for t in self.reps_of(relation)))
@@ -167,7 +170,7 @@ class QueryPlanner:
     def values_of(self, relation) -> frozenset:
         """The relation's value set — what ``member`` tests."""
         return self._cached(
-            (relation, "values"), lambda: relation.to_tuple_set().elements
+            relation, "values", lambda: relation.to_tuple_set().elements
         )
 
     def _compiled(self, node, interp, compile_fn, window: bool = False):
@@ -334,8 +337,10 @@ class QueryPlanner:
     def _window_op(self, q):
         """A window plan as the executor joins it: one scan per tuple
         variable (its slots side by side), hash-joined in prefix order; the
-        root keeps the rows that fail the conclusion — the violations."""
-        root = None
+        root keeps the rows that fail the conclusion — the violations.  With
+        no tuple variable the join is the one empty row of each state."""
+        states = "/".join(label for _, label in q.terms)
+        root = None if q.groups else ir.Scan("states", 0, 0, states)
         for group, (local, keys, residual) in zip(q.groups, _exec.window_stages(q)):
             *head, last = group
             names = " ".join([f"{s.var.name}(#{s.slot})" for s in head] + [last.var.name])
@@ -350,7 +355,10 @@ class QueryPlanner:
             )
         if q.residuals:
             root = ir.Select(root, q.residuals)
-        return ir.Select(root, q.conclusion, negated=True)
+        root = ir.Select(root, q.conclusion, negated=True)
+        for _, _, label in q.regressed:
+            root = ir.Regress(root, label)
+        return root
 
     def _build_op(self, q, state):
         if isinstance(q, RelQuery):
@@ -366,9 +374,9 @@ class QueryPlanner:
                 q.rel, q.arity, 0, q.var.name, q.guard_preds + q.pre_preds
             )
             if q.body_level is None:
-                return left
+                return _group_ops(left, q)
             cls = ir.SemiJoin if q.negated else ir.AntiJoin
-            return _join_op(cls, left, q.body_level, q.body_preds)
+            return _group_ops(_join_op(cls, left, q.body_level, q.body_preds), q)
         assert isinstance(q, ChainQuery)
         by_slot = {lv.slot: lv for lv in q.levels}
         root = None
@@ -397,7 +405,7 @@ class QueryPlanner:
                 q.result.element_arity,
                 whole=q.result.whole,
             )
-        return root
+        return _group_ops(root, q)
 
     # -- interpreter hooks ---------------------------------------------------
 
@@ -529,6 +537,14 @@ class QueryPlanner:
         finally:
             if tracer is not None:
                 tracer.finish(span)
+
+
+def _group_ops(root, q):
+    """``root`` under one ``GroupBy`` per aggregate sub-plan of ``q``: the
+    relation it scans is part of the plan's read set."""
+    for agg in q.aggs:
+        root = ir.GroupBy(root, ir.Scan(agg.rel, agg.arity, 0, agg.var.name), agg)
+    return root
 
 
 def _join_op(cls, left, lv, preds):

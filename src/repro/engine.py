@@ -23,6 +23,7 @@ Section 1.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -54,6 +55,18 @@ class SkippedCheck:
 
     constraint: Constraint
     reason: str
+
+
+class UnenforcedConstraintWarning(UserWarning):
+    """A registered constraint needs more history than the database keeps:
+    with ``strict=False`` every commit records it as a :class:`SkippedCheck`
+    and never checks it.  Carries the constraint name and the reason;
+    ``repro_constraints_unenforced`` counts them."""
+
+    def __init__(self, constraint: str, reason: str) -> None:
+        self.constraint = constraint
+        self.reason = reason
+        super().__init__(f"constraint {constraint} is not enforced: {reason}")
 
 
 @dataclass
@@ -112,8 +125,37 @@ class Database:
         self._incremental: Optional["IncrementalChecker"] = None
         self._query_cache: Optional["QueryCache"] = None
         self._planner: Optional["QueryPlanner"] = None
+        self._warn_unenforced()
 
     # -- configuration -------------------------------------------------------
+
+    def _unenforceable(self, constraint: Constraint) -> Optional[str]:
+        """Why the maintained window cannot check ``constraint``, if so."""
+        needed = self.required_window(constraint)
+        kept = self.history.window
+        if needed is Window.UNCHECKABLE:
+            return "not checkable with any maintained history"
+        if needed is Window.FULL_HISTORY and kept is not None:
+            return f"needs the complete history; window keeps {kept}"
+        if isinstance(needed, int) and kept is not None and needed > kept:
+            return f"needs {needed} states; window keeps {kept}"
+        return None
+
+    def _warn_unenforced(self) -> None:
+        """Where it is decided that a constraint will never be checked —
+        construction and encoding registration — say so: a typed warning
+        per constraint and the ``repro_constraints_unenforced`` gauge.
+        (``strict=True`` refuses at the first commit instead.)"""
+        unenforced = {
+            c.name: why for c in self.schema.constraints if (why := self._unenforceable(c))
+        }
+        self.metrics.gauge(
+            "repro_constraints_unenforced",
+            "registered constraints the maintained window cannot check",
+        ).set(len(unenforced))
+        if not self.strict:
+            for name, why in unenforced.items():
+                warnings.warn(UnenforcedConstraintWarning(name, why), stacklevel=3)
 
     def trust(self, constraint_name: str, program_name: str) -> None:
         """Mark (constraint, transaction) as verified-preserved: runtime
@@ -172,6 +214,7 @@ class Database:
             self._planner.stats.prime(self.history.states[-1])
             # A formula refused over the old schema may compile now.
             self._planner.invalidate_negative()
+        self._warn_unenforced()
 
     def required_window(self, constraint: Constraint) -> int | Window:
         cached = self._windows.get(constraint.name)
@@ -249,12 +292,15 @@ class Database:
         :meth:`query`, and server ``QUERY`` evaluation all go through the
         same interpreter, so all three accelerate.
 
-        A transaction constraint — a closed ``forall`` prefix over states,
-        transitions and tuples — is planned as a whole: a *window plan*
-        joins the versions of the history window instead of walking every
-        binding.  The situational evaluator's walk stays the definition: it
-        answers what is outside the fragment (``planner.plan(formula,
-        model)`` raises the reason) and every ``verify=`` cross-check.
+        A constraint — a closed ``forall`` prefix over states, transitions
+        and tuples — is planned as a whole: a *window plan* joins the
+        versions of the history window instead of walking every binding
+        (a static ``forall s. s::p`` joins nothing: ``p``'s plan per state;
+        a state term ``s;delete(v, R)`` is first regressed to ``s`` through
+        the delete axioms).  The situational evaluator's walk stays the
+        definition: it answers what is outside the fragment
+        (``planner.plan(formula, model)`` raises the reason) and every
+        ``verify=`` cross-check.
 
         ``verify=True`` cross-checks every planned answer against the tree
         walk and raises :class:`~repro.errors.PlannerMismatch` on any
@@ -544,30 +590,10 @@ class Database:
         for c in self.schema.constraints:
             if program_name is not None and (c.name, program_name) in self._trusted:
                 continue
-            needed = self.required_window(c)
-            if needed is Window.UNCHECKABLE:
+            reason = self._unenforceable(c)
+            if reason is not None:
                 if self.strict:
-                    raise CheckabilityError(
-                        f"{c.name}: not checkable with any maintained history"
-                    )
-                continue
-            if needed is Window.FULL_HISTORY and self.history.window is not None:
-                if self.strict:
-                    raise CheckabilityError(
-                        f"{c.name}: needs the complete history; window "
-                        f"keeps {self.history.window}"
-                    )
-                continue
-            if (
-                isinstance(needed, int)
-                and self.history.window is not None
-                and needed > self.history.window
-            ):
-                if self.strict:
-                    raise CheckabilityError(
-                        f"{c.name}: needs {needed} states; window keeps "
-                        f"{self.history.window}"
-                    )
+                    raise CheckabilityError(f"{c.name}: {reason}")
                 continue
             result = check_history(c, candidate, self.interpreter)
             if not result.ok:
@@ -623,28 +649,8 @@ class Database:
                     SkippedCheck(c, f"verified preserved by {program_name}")
                 )
                 continue
-            needed = self.required_window(c)
-            if needed is Window.UNCHECKABLE:
-                reason = "not checkable with any maintained history"
-                if self.strict:
-                    raise CheckabilityError(f"{c.name}: {reason}")
-                record.skipped.append(SkippedCheck(c, reason))
-                continue
-            if needed is Window.FULL_HISTORY and self.history.window is not None:
-                reason = (
-                    f"needs the complete history; window keeps "
-                    f"{self.history.window}"
-                )
-                if self.strict:
-                    raise CheckabilityError(f"{c.name}: {reason}")
-                record.skipped.append(SkippedCheck(c, reason))
-                continue
-            if (
-                isinstance(needed, int)
-                and self.history.window is not None
-                and needed > self.history.window
-            ):
-                reason = f"needs {needed} states; window keeps {self.history.window}"
+            reason = self._unenforceable(c)
+            if reason is not None:
                 if self.strict:
                     raise CheckabilityError(f"{c.name}: {reason}")
                 record.skipped.append(SkippedCheck(c, reason))

@@ -309,3 +309,271 @@ def test_planner_and_tree_walk_agree_on_random_queries(seed):
     # The generator must actually exercise the planner, not fall back
     # everywhere.
     assert compiled_total >= 16, compiled_total
+
+
+# ---------------------------------------------------------------------------
+# the group-by node: an aggregate under a comparison (DESIGN.md §7.6)
+# ---------------------------------------------------------------------------
+
+
+def gen_aggregate(rng, rels, outer, param):
+    """``op{result | a in R ∧ …}``, correlated by equality with a column of
+    ``outer``, with the atom parameter, or with nothing; the result is a
+    column (any type: ``sum`` of strings raises), the row, or a pair."""
+    rel, types = rels[rng.randrange(len(rels))]
+    a = rel.var("a")
+    column = lambda i: rel.attr(rel.attributes[i], a)
+    conjuncts = [b.member(a, rel.rel())]
+    roll = rng.random()
+    if roll < 0.6 and outer is not None:
+        out_rel, out_types, out_var = outer
+        pairs = [
+            (i, j) for i, t in enumerate(types) for j, u in enumerate(out_types) if t == u
+        ]
+        if pairs:
+            i, j = rng.choice(pairs)
+            conjuncts.append(b.eq(column(i), out_rel.attr(out_rel.attributes[j], out_var)))
+    elif roll < 0.8 and param is not None:
+        conjuncts.append(b.eq(param, column(rng.randrange(len(types)))))
+    if rng.random() < 0.3:
+        conjuncts.append(gen_local(rng, rel, types, a, None))
+    shape = rng.random()
+    if shape < 0.7:
+        result = column(rng.randrange(len(types)))
+    elif shape < 0.85:
+        result = a
+    else:
+        result = b.mktuple(column(rng.randrange(len(types))), column(0))
+    op = rng.choice([b.sum_of, b.sum_of, b.max_of, b.min_of, b.size_of])
+    return op(b.setformer(result, a, b.land(*conjuncts)))
+
+
+def gen_aggregate_query(rng, rels, param):
+    """The aggregate inside an ``exists`` chain, a set former's condition,
+    a ``forall`` guard or a ``forall`` body."""
+    rel, types = rels[rng.randrange(len(rels))]
+    v = rel.var("v")
+    outer = (rel, types, v)
+    literal = b.atom(rng.choice([0, 1, 2, 3, 7, 10]))
+    compare = rng.choice([b.lt, b.le, b.gt, b.ge, b.eq, b.neq])
+    test = compare(gen_aggregate(rng, rels, outer, param), literal)
+    member = b.member(v, rel.rel())
+    local = gen_local(rng, rel, types, v, None)
+    position = rng.choice(["exists", "former", "guard", "body"])
+    if position == "exists":
+        return b.exists(v, b.land(member, local, test)), True
+    if position == "former":
+        return b.setformer(v, v, b.land(member, test)), False
+    if position == "guard":
+        return b.forall(v, b.implies(b.land(member, test), local)), True
+    return b.forall(v, b.implies(b.land(member, local), test)), True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_group_aggregates_and_the_tree_walk_agree(seed):
+    """Value, raised error and read contract — bare *and* under ``verify``
+    (which alone would mask an error the plan skipped)."""
+    rng = random.Random(1000 + seed)
+    grouped = raised = 0
+    param = b.atom_var("p")
+    for round_no in range(8):
+        schema, rels = gen_schema(rng)
+        state = gen_state(rng, schema, rels)
+        plain = Database(schema, initial=state)
+        bare = Database(schema, initial=state)
+        verified = Database(schema, initial=state)
+        bare.enable_planner()
+        referee = verified.enable_planner(verify=True)
+        for _ in range(8):
+            node, is_formula = gen_aggregate_query(rng, rels, param)
+            env = Env.empty().bind(param, rng.choice(ATOMS[rng.choice(["str", "int"])]))
+            where = (seed, round_no, str(node))
+            expected, expected_err, slow_reads = evaluate(plain, node, is_formula, env)
+            for planned in (bare, verified):
+                got, got_err, fast_reads = evaluate(planned, node, is_formula, env)
+                assert got_err == expected_err, where
+                assert type(got) is type(expected) and got == expected, where
+                assert_read_contract(planned, node, env, slow_reads, fast_reads, where)
+            raised += expected_err is not None
+            try:
+                grouped += bool(referee.plan(node, state).query.aggs)
+            except PlanError:
+                pass
+        assert referee.mismatch_count == 0
+    assert grouped >= 30 and raised >= 3, (grouped, raised)
+
+
+class TestGroupAggregateCorners:
+    """Directed cases over the employee schema, each under ``verify=True``
+    and held to ``walk ⊆ planned ⊆ plan bound``."""
+
+    ROWS = {
+        "EMP": [("ann", "cs", 10, 30, "S"), ("bob", "cs", 10, 31, "S")],
+        "DEPT": [("cs", "ann", "b1")],
+        "PROJ": [("p", 100), ("q", 100)],
+        # ann: two allocations of one perc; bob: none.
+        "ALLOC": [("ann", "p", 50), ("ann", "q", 50)],
+        "SKILL": [],
+    }
+
+    def databases(self, domain, **rows):
+        state = state_from_rows(domain.schema, {**self.ROWS, **rows})
+        plain = Database(domain.schema, initial=state)
+        planned = Database(domain.schema, initial=state)
+        planned.enable_planner(verify=True)
+        return plain, planned
+
+    def agree(self, domain, node, is_formula=True, env=None, **rows):
+        plain, planned = self.databases(domain, **rows)
+        expected, expected_err, slow = evaluate(plain, node, is_formula, env)
+        got, got_err, fast = evaluate(planned, node, is_formula, env)
+        assert (got, got_err) == (expected, expected_err)
+        assert planned.interpreter.planner.plan(node, planned.current).query.aggs
+        assert_read_contract(planned, node, env, slow, fast, str(node))
+        assert "ALLOC" in fast
+        return got, got_err, planned.interpreter.planner
+
+    def of(self, domain, op, name_expr, result=None):
+        a = domain.alloc.var("a")
+        result = domain.alloc.attr("perc", a) if result is None else result(a)
+        return op(b.setformer(result, a, domain._alloc_of(a, name_expr)))
+
+    def per_employee(self, domain, test):
+        """``forall e. e in EMP -> test(e-name(e))``."""
+        e = domain.emp.var("e")
+        return b.forall(
+            e, b.implies(b.member(e, domain.emp.rel()), test(domain.emp.attr("e-name", e)))
+        )
+
+    def test_duplicate_percs_sum_once(self, domain):
+        """50 and 50 are one element of the set: the sum is 50 (ledger
+        finding 12), and two allocations are two rows."""
+        for bound, holds in ((50, True), (49, False)):
+            node = self.per_employee(
+                domain, lambda n: b.le(self.of(domain, b.sum_of, n), b.atom(bound))
+            )
+            assert self.agree(domain, node)[0] is holds
+        rows = self.per_employee(
+            domain,
+            lambda n: b.le(self.of(domain, b.size_of, n, lambda a: a), b.atom(1)),
+        )
+        assert self.agree(domain, rows)[0] is False
+
+    def test_an_empty_group_sums_and_counts_to_zero(self, domain):
+        e = domain.emp.var("e")
+        name = domain.emp.attr("e-name", e)
+        for op in (b.sum_of, b.size_of):
+            idle = b.setformer(
+                name, e, b.land(b.member(e, domain.emp.rel()),
+                                b.eq(self.of(domain, op, name), b.atom(0)))
+            )
+            got, _, _ = self.agree(domain, idle, is_formula=False)
+            assert [t.values for t in got] == [("bob",)]
+
+    @pytest.mark.parametrize("op", [b.max_of, b.min_of])
+    def test_max_and_min_of_an_empty_group_raise_the_walks_error(self, domain, op):
+        node = self.per_employee(
+            domain, lambda n: b.le(self.of(domain, op, n), b.atom(100))
+        )
+        _, error, planner = self.agree(domain, node)
+        assert "of an empty set is undefined" in error
+        assert planner.fallback_count == 1  # handed back, not answered
+        # ... and only where the walk gets there: ann alone never raises.
+        lone = {"EMP": [("ann", "cs", 10, 30, "S")]}
+        assert self.agree(domain, node, **lone)[:2] == (True, None)
+
+    def test_a_non_integer_perc_is_the_walks_error(self, domain):
+        node = self.per_employee(
+            domain, lambda n: b.le(self.of(domain, b.sum_of, n), b.atom(100))
+        )
+        rows = {"ALLOC": [("ann", "p", "half"), ("bob", "q", 50)]}
+        _, error, planner = self.agree(domain, node, **rows)
+        assert error == "sum: non-numeric attribute values"
+        assert planner.exec_count == 0
+        # ``size`` never reads the cell: it stays planned.
+        sized = self.per_employee(
+            domain, lambda n: b.le(self.of(domain, b.size_of, n), b.atom(1))
+        )
+        assert self.agree(domain, sized, **rows)[:2] == (True, None)
+
+    def test_a_parameter_correlated_aggregate(self, domain):
+        """The group key's other side is the parameter: one table serves
+        every binding."""
+        p, e = b.atom_var("p"), domain.emp.var("e")
+        node = b.exists(
+            e, b.land(b.member(e, domain.emp.rel()),
+                      b.gt(self.of(domain, b.sum_of, p), domain.emp.attr("salary", e)))
+        )
+        for name, holds in (("ann", True), ("bob", False), ("nobody", False)):
+            env = Env.empty().bind(p, name)
+            assert self.agree(domain, node, env=env)[0] is holds
+
+    def test_an_aggregate_as_the_other_side_of_a_key(self, domain):
+        """``perc(a) = size{…e…}``: the key's outer side is itself a group-by
+        over the enclosing row; both tables are opened before the scan."""
+        k = domain.skill.var("k")
+        a = domain.alloc.var("a")
+
+        def test(name):
+            skills = b.size_of(b.setformer(
+                k, k, b.land(b.member(k, domain.skill.rel()),
+                             b.eq(domain.skill.attr("s-emp", k), name))
+            ))
+            matching = b.setformer(
+                a, a, b.land(domain._alloc_of(a, name),
+                             b.eq(domain.alloc.attr("perc", a), skills))
+            )
+            return b.eq(b.size_of(matching), b.atom(1))
+
+        rows = {"ALLOC": [("ann", "p", 2), ("ann", "q", 50), ("bob", "p", 2)],
+                "SKILL": [("ann", 1), ("ann", 2), ("bob", 1)]}
+        node = self.per_employee(domain, test)
+        got, _, planner = self.agree(domain, node, **rows)
+        assert got is False  # ann: 2 skills, one perc of 2; bob: 1 skill, perc 2
+        state = self.databases(domain, **rows)[1].current
+        assert len(planner.plan(node, state).query.aggs) == 2
+
+    def test_correlation_by_more_than_an_equality_is_refused(self, domain):
+        e, a = domain.emp.var("e"), domain.alloc.var("a")
+        loose = b.sum_of(b.setformer(
+            domain.alloc.attr("perc", a), a,
+            b.land(b.member(a, domain.alloc.rel()),
+                   b.lt(domain.alloc.attr("perc", a), domain.emp.attr("salary", e))),
+        ))
+        node = b.forall(
+            e, b.implies(b.member(e, domain.emp.rel()), b.le(loose, b.atom(100)))
+        )
+        plain, planned = self.databases(domain)
+        with pytest.raises(PlanError, match="correlated by more than an equality"):
+            planned.interpreter.planner.plan(node, planned.current)
+        assert evaluate(planned, node, True, None)[:2] == evaluate(plain, node, True, None)[:2]
+
+    def test_group_tables_are_built_once_per_relation_version(self, domain, monkeypatch):
+        """Three window states share one ``ALLOC`` until a commit writes it:
+        a check builds nothing, a write to ``ALLOC`` builds one table."""
+        from repro.algebra.ir import GroupAgg
+        from repro.algebra.planner import QueryPlanner
+
+        builds = []
+        cached = QueryPlanner._cached
+
+        def counting(self, relation, kind, build):
+            def counted():
+                if isinstance(kind, GroupAgg):
+                    builds.append(relation)
+                return build()
+
+            return cached(self, relation, kind, counted)
+
+        monkeypatch.setattr(QueryPlanner, "_cached", counting)
+        domain.install_constraints("allocation-within-limit")
+        db = Database(domain.schema, window=3, initial=domain.sample_state(),
+                      record_graph=False)
+        db.enable_planner(verify=True)
+        for _ in range(4):
+            db.execute(domain.birthday, "alice")  # EMP only
+        assert len(builds) == 1 and builds[0] is db.current.relations["ALLOC"]
+        db.execute(domain.allocate, "carol", "db", 10)
+        db.execute(domain.birthday, "bob")
+        assert len(builds) == 2 and len({id(r) for r in builds}) == 2
+        assert builds[1] is db.current.relations["ALLOC"]

@@ -20,6 +20,7 @@ from repro.algebra import (
     Cmp,
     Disj,
     ForallQuery,
+    GroupAgg,
     Incompilable,
     RelQuery,
     SetOpQuery,
@@ -29,6 +30,7 @@ from repro.algebra import (
     compile_set_expr,
     compile_set_former,
 )
+from repro.algebra.ir import Col, Lit
 from repro.domains import make_domain
 from repro.logic import builder as b
 
@@ -270,6 +272,85 @@ class TestCompilableShapes:
         u = compile_set_expr(b.union(b.rel("SKILL", 2), b.rel("PROJ", 2)))
         assert isinstance(u, SetOpQuery) and u.mode == "union"
         assert isinstance(u.left, RelQuery) and isinstance(u.right, RelQuery)
+
+
+class TestGroupAggregate:
+    """``sum{…} <= 100``: the aggregate lowers to one scalar sub-plan."""
+
+    def limit(self, d, op=b.sum_of, extra=(), result=None):
+        e, a = d.emp.var("e"), d.alloc.var("a")
+        result = d.alloc.attr("perc", a) if result is None else result(a, e)
+        percs = b.setformer(
+            result, a, b.land(alloc_of(d, a, d.emp.attr("e-name", e)), *(x(a, e) for x in extra))
+        )
+        return b.forall(
+            e, b.implies(b.member(e, d.emp.rel()), b.le(op(percs), b.atom(100)))
+        )
+
+    def test_example_1_3_is_a_forall_over_a_group_by(self, d):
+        q = compile_forall(d.allocation_within_limit().formula.body.formula)
+        (test,) = q.pre_preds
+        agg = test.lhs
+        assert isinstance(agg, GroupAgg) and q.aggs == (agg,)
+        assert (agg.op, agg.rel, agg.arity, agg.var.name) == ("sum", "ALLOC", 3, "a")
+        # perc(a) per group of a-emp(a), correlated with e-name(e) of slot 0.
+        assert agg.exprs == (Col(0, 3),) and not agg.whole and agg.local == ()
+        assert agg.keys == ((Col(0, 1), Col(0, 1)),)
+        assert test == Cmp("le", agg, Lit(100))
+        # The walk would add the percs up: the column must hold integers.
+        assert ("column", ("ALLOC", 3)) in q.checks
+
+    def test_local_predicates_and_constant_keys_stay_on_the_aggregated_side(self, d):
+        big = lambda a, e: b.gt(d.alloc.attr("perc", a), b.atom(10))
+        on_db = lambda a, e: b.eq(d.alloc.attr("a-proj", a), b.atom("db"))
+        q = compile_forall(self.limit(d, b.size_of, extra=(big, on_db)))
+        (agg,) = q.aggs
+        assert agg.local == (Cmp("gt", Col(0, 3), Lit(10)), Cmp("eq", Col(0, 2), Lit("db")))
+        assert len(agg.keys) == 1
+        # ``size`` reads no cell, the local ``>`` does.
+        assert q.checks == (("column", ("ALLOC", 3)),)
+
+    def test_what_cannot_be_decorrelated_is_refused(self, d):
+        loose = lambda a, e: b.lt(d.alloc.attr("perc", a), d.emp.attr("salary", e))
+        outer = lambda a, e: d.emp.attr("salary", e)
+        cases = {
+            "correlated by more than an equality": self.limit(d, extra=(loose,)),
+            "the result reads the enclosing row": self.limit(d, result=outer),
+        }
+        for reason, formula in cases.items():
+            with pytest.raises(Incompilable, match=reason):
+                compile_forall(formula)
+        two = b.sum_of(b.setformer(
+            d.alloc.attr("perc", d.alloc.var("a")),
+            [d.alloc.var("a"), d.proj.var("p")],
+            b.land(b.member(d.alloc.var("a"), d.alloc.rel()),
+                   b.member(d.proj.var("p"), d.proj.rel())),
+        ))
+        e, a = d.emp.var("e"), d.alloc.var("a")
+        with pytest.raises(Incompilable, match="one-variable set former"):
+            compile_exists(b.exists(e, b.land(b.member(e, d.emp.rel()), b.le(two, b.atom(1)))))
+        total = b.sum_of(b.setformer(
+            d.alloc.attr("perc", a), a, alloc_of(d, a, d.emp.attr("e-name", e))
+        ))
+        with pytest.raises(Incompilable, match="aggregate in a projection"):
+            compile_set_former(b.setformer(total, e, b.member(e, d.emp.rel())))
+
+    def test_an_aggregate_over_the_aggregated_row_is_refused(self, d):
+        """The inner table would depend on the outer aggregate's row."""
+        e, a, k = d.emp.var("e"), d.alloc.var("a"), d.skill.var("k")
+        skills = b.size_of(b.setformer(
+            k, k, b.land(b.member(k, d.skill.rel()),
+                         b.eq(d.skill.attr("s-emp", k), d.alloc.attr("a-emp", a)))
+        ))
+        percs = b.setformer(
+            d.alloc.attr("perc", a), a,
+            b.land(alloc_of(d, a, d.emp.attr("e-name", e)), b.eq(skills, b.atom(2))),
+        )
+        formula = b.forall(
+            e, b.implies(b.member(e, d.emp.rel()), b.le(b.sum_of(percs), b.atom(100)))
+        )
+        with pytest.raises(Incompilable, match="an aggregate over the aggregated row"):
+            compile_forall(formula)
 
 
 class TestIncompilableReasons:

@@ -528,6 +528,28 @@ class TestStats:
         assert planner.stats.row_estimate("EMP") == before
 
 
+class TestDerivedCache:
+    def test_derived_data_dies_with_its_relation_version(self, domain):
+        """Representatives, indexes, value sets and group tables are held
+        per live relation object: after any number of commits every entry
+        belongs to a relation some window state still holds."""
+        domain.install_constraints(
+            "allocation-within-limit", "skill-retention", "dept-deletion-precondition"
+        )
+        db = Database(
+            domain.schema, window=3, initial=domain.sample_state(), record_graph=False
+        )
+        planner = db.enable_planner()
+        for round_no in range(8):
+            db.execute(domain.birthday, "alice")
+            db.execute(domain.add_skill, "bob", 10 + round_no)
+            db.execute(domain.allocate, "carol", "db", 1 + round_no)
+        held = {id(r) for state in db.history.states for r in state.relations.values()}
+        assert planner._derived and set(planner._derived) <= held
+        for ref, tables in planner._derived.values():
+            assert ref() is not None and tables
+
+
 class TestVerifyAndQuarantine:
     def test_verify_raises_planner_mismatch_on_corruption(self, domain):
         db = fresh_db(domain)

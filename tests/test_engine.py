@@ -1,9 +1,11 @@
 """The database engine: enforcement, rollback, windows, encodings."""
 
+import warnings
+
 import pytest
 
 from repro.errors import CheckabilityError, ConstraintViolation
-from repro.engine import Database
+from repro.engine import Database, UnenforcedConstraintWarning
 
 
 @pytest.fixture()
@@ -105,6 +107,39 @@ class TestWindows:
         db.execute(domain.set_salary, "alice", 150)
         (skip,) = db.records[0].skipped
         assert "not checkable" in skip.reason
+
+    def unenforced(self, db):
+        return db.metrics.get("repro_constraints_unenforced").value
+
+    def test_an_unenforced_constraint_is_announced_at_construction(self, domain):
+        """``skill-retention`` needs two states: with ``window=1`` it would be
+        a ``SkippedCheck`` at every commit — decided here, so said here."""
+        domain.install_constraints("every-employee-allocated", "skill-retention")
+        with pytest.warns(UnenforcedConstraintWarning, match="needs 2 states") as caught:
+            db = Database(domain.schema, window=1, initial=domain.sample_state())
+        (warning,) = (w.message for w in caught)
+        assert warning.constraint == "skill-retention" and "keeps 1" in warning.reason
+        assert self.unenforced(db) == 1
+        db.execute(domain.birthday, "alice")
+        assert [s.constraint.name for s in db.records[0].skipped] == ["skill-retention"]
+
+    def test_an_enforced_schema_is_silent(self, domain):
+        domain.install_constraints("every-employee-allocated", "skill-retention")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnenforcedConstraintWarning)
+            db = Database(domain.schema, window=2, initial=domain.sample_state())
+            strict = Database(domain.schema, window=1, strict=True)  # raises at commit
+        assert self.unenforced(db) == 0 and self.unenforced(strict) == 1
+
+    def test_register_encoding_recounts(self, domain):
+        """A constraint added since construction is counted when the next
+        encoding is registered."""
+        db = Database(domain.schema, window=2, initial=domain.sample_state())
+        assert self.unenforced(db) == 0
+        domain.schema.add_constraint(domain.never_rehire())
+        with pytest.warns(UnenforcedConstraintWarning, match="complete history"):
+            db.register_encoding(domain.fire_encoding())
+        assert self.unenforced(db) == 1
 
     def test_unbounded_window_checks_full_history_constraints(self, domain):
         domain.schema.add_constraint(domain.never_rehire())
