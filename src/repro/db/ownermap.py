@@ -1,17 +1,20 @@
 """A persistent tuple-ownership index.
 
 ``State.owner`` maps every live tuple identifier to the name of the
-relation holding it.  Identifiers are allocated sequentially by the state
-allocator, so the mapping is dense over ``[0, next_tid)`` and can be
-represented as a **persistent chunked vector** indexed by identifier:
-an update copies one 64-slot chunk (plus the chunk spine) instead of the
-whole mapping, and lookups are two tuple indexings.
+relation holding it.  Identifiers are not dense: a sharded database hands
+each shard and each cross-shard transaction its own block of identifiers,
+so the live ones are scattered over an id space that grows with every
+block granted.  The index is therefore a **persistent sparse chunk map**
+``{tid // CHUNK: CHUNK-slot tuple}`` that holds only chunks with at least
+one live identifier: an update copies one 64-slot chunk plus the chunk
+table (never anything proportional to the largest identifier), lookups are
+one dict probe and one tuple indexing, and the number of chunks never
+exceeds the number of live entries.
 
-This matters because states are persistent values: the previous ``dict``
-representation copied every entry on every single-tuple insert, making a
-workload of N inserts O(N²) in the size of the database.  Empty slots
-(never-allocated or deleted identifiers) hold ``None``; ``None`` is never
-a legal relation name.
+This matters because states are persistent values: a plain ``dict`` copied
+every entry on every single-tuple insert (O(N²) for N inserts), and a
+dense vector padded every unallocated identifier below the high-water
+mark.  Empty slots hold ``None``; ``None`` is never a legal relation name.
 """
 
 from __future__ import annotations
@@ -23,53 +26,56 @@ from typing import Iterator, Optional
 #: copy; lookups are O(1) regardless.
 CHUNK = 64
 
+_EMPTY = (None,) * CHUNK
+
+
+def _check_tid(tid: object) -> int:
+    if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
+        raise ValueError(f"owner map: bad tuple identifier {tid!r}")
+    return tid
+
 
 class OwnerMap(Mapping):
     """An immutable ``tid -> relation name`` mapping with cheap updates.
 
     Behaves as a standard :class:`~collections.abc.Mapping` (so
-    ``dict(owner)``, ``tid in owner``, ``owner.get(tid)`` all work), plus
-    the persistent update operations :meth:`set` and :meth:`discard`, which
-    return a new map sharing all untouched chunks with the old one.
+    ``dict(owner)``, ``tid in owner``, ``owner.get(tid)`` all work; iteration
+    is in ascending identifier order), plus the persistent update operations
+    :meth:`set` and :meth:`discard`, which return a new map sharing all
+    untouched chunks with the old one.
     """
 
-    __slots__ = ("_chunks", "_tail", "_count")
+    __slots__ = ("_chunks", "_count")
 
-    def __init__(
-        self,
-        chunks: tuple[tuple, ...] = (),
-        tail: tuple = (),
-        count: int = 0,
-    ) -> None:
-        self._chunks = chunks  # full CHUNK-sized tuples
-        self._tail = tail  # the growing last chunk, len < CHUNK
+    def __init__(self, chunks: Optional[dict] = None, count: int = 0) -> None:
+        self._chunks: dict[int, tuple] = {} if chunks is None else chunks
         self._count = count  # live (non-None) entries
 
     @classmethod
     def wrap(cls, mapping: Mapping) -> "OwnerMap":
-        """``mapping`` as an :class:`OwnerMap`; the identity when it already
-        is one (states built from plain dicts convert on first update)."""
+        """``mapping`` as an :class:`OwnerMap` in one pass over its entries;
+        the identity when it already is one."""
         if isinstance(mapping, cls):
             return mapping
-        result = cls()
-        for tid in sorted(mapping):
-            result = result.set(tid, mapping[tid])
-        return result
+        slots: dict[int, list] = {}
+        for tid, name in mapping.items():
+            if name is None:
+                raise ValueError("owner map: relation name may not be None")
+            i, j = divmod(_check_tid(tid), CHUNK)
+            chunk = slots.get(i)
+            if chunk is None:
+                chunk = slots[i] = [None] * CHUNK
+            chunk[j] = name
+        return cls({i: tuple(chunk) for i, chunk in slots.items()}, len(mapping))
 
     # -- reads ---------------------------------------------------------------
-
-    def _capacity(self) -> int:
-        return len(self._chunks) * CHUNK + len(self._tail)
 
     def _slot(self, tid: object) -> Optional[str]:
         if not isinstance(tid, int) or isinstance(tid, bool):
             return None
-        if tid < 0 or tid >= self._capacity():
-            return None
-        i, j = divmod(tid, CHUNK)
-        if i < len(self._chunks):
-            return self._chunks[i][j]
-        return self._tail[j]
+        i, j = divmod(tid, CHUNK)  # a negative tid lands in a negative chunk
+        chunk = self._chunks.get(i)
+        return None if chunk is None else chunk[j]
 
     def __getitem__(self, tid: int) -> str:
         value = self._slot(tid)
@@ -88,15 +94,11 @@ class OwnerMap(Mapping):
         return self._count
 
     def __iter__(self) -> Iterator[int]:
-        base = 0
-        for chunk in self._chunks:
-            for j, value in enumerate(chunk):
+        for i in sorted(self._chunks):
+            base = i * CHUNK
+            for j, value in enumerate(self._chunks[i]):
                 if value is not None:
                     yield base + j
-            base += CHUNK
-        for j, value in enumerate(self._tail):
-            if value is not None:
-                yield base + j
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OwnerMap({dict(self)!r})"
@@ -105,49 +107,28 @@ class OwnerMap(Mapping):
 
     def set(self, tid: int, name: str) -> "OwnerMap":
         """A new map with ``tid`` owned by ``name``."""
-        if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
-            raise ValueError(f"owner map: bad tuple identifier {tid!r}")
         if name is None:
             raise ValueError("owner map: relation name may not be None")
-        capacity = self._capacity()
-        if tid >= capacity:
-            # Append (padding any never-allocated identifiers in between).
-            chunks = list(self._chunks)
-            tail = list(self._tail)
-            for _ in range(capacity, tid):
-                tail.append(None)
-                if len(tail) == CHUNK:
-                    chunks.append(tuple(tail))
-                    tail = []
-            tail.append(name)
-            if len(tail) == CHUNK:
-                chunks.append(tuple(tail))
-                tail = []
-            return OwnerMap(tuple(chunks), tuple(tail), self._count + 1)
-        i, j = divmod(tid, CHUNK)
-        if i < len(self._chunks):
-            chunk = self._chunks[i]
-            if chunk[j] == name:
-                return self
-            grown = 1 if chunk[j] is None else 0
-            replaced = chunk[:j] + (name,) + chunk[j + 1 :]
-            chunks = self._chunks[:i] + (replaced,) + self._chunks[i + 1 :]
-            return OwnerMap(chunks, self._tail, self._count + grown)
-        if self._tail[j] == name:
+        i, j = divmod(_check_tid(tid), CHUNK)
+        chunk = self._chunks.get(i, _EMPTY)
+        old = chunk[j]
+        if old == name:
             return self
-        grown = 1 if self._tail[j] is None else 0
-        tail = self._tail[:j] + (name,) + self._tail[j + 1 :]
-        return OwnerMap(self._chunks, tail, self._count + grown)
+        chunks = dict(self._chunks)
+        chunks[i] = chunk[:j] + (name,) + chunk[j + 1 :]
+        return OwnerMap(chunks, self._count + (old is None))
 
     def discard(self, tid: object) -> "OwnerMap":
-        """A new map without ``tid``; the identity when it is absent."""
+        """A new map without ``tid``; the identity when it is absent.  A
+        chunk left empty is dropped."""
         if self._slot(tid) is None:
             return self
         i, j = divmod(tid, CHUNK)
-        if i < len(self._chunks):
-            chunk = self._chunks[i]
-            replaced = chunk[:j] + (None,) + chunk[j + 1 :]
-            chunks = self._chunks[:i] + (replaced,) + self._chunks[i + 1 :]
-            return OwnerMap(chunks, self._tail, self._count - 1)
-        tail = self._tail[:j] + (None,) + self._tail[j + 1 :]
-        return OwnerMap(self._chunks, tail, self._count - 1)
+        chunk = self._chunks[i]
+        replaced = chunk[:j] + (None,) + chunk[j + 1 :]
+        chunks = dict(self._chunks)
+        if replaced == _EMPTY:
+            del chunks[i]
+        else:
+            chunks[i] = replaced
+        return OwnerMap(chunks, self._count - 1)

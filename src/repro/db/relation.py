@@ -61,8 +61,15 @@ class Relation:
         return any(t.values == values for t in self.tuples.values())
 
     def to_tuple_set(self) -> TupleSet:
-        """The relation's value as an n-set (the fluent RelConst's value)."""
-        return TupleSet.of(self.arity, tuple(self.tuples.values()))
+        """The relation's value as an n-set (the fluent RelConst's value).
+
+        Cached like :meth:`__hash__`: the relation is immutable, and the
+        tree walk evaluates ``R`` once per ``t ∈ R`` test."""
+        cached = self.__dict__.get("_tuple_set")
+        if cached is None:
+            cached = TupleSet.of(self.arity, tuple(self.tuples.values()))
+            object.__setattr__(self, "_tuple_set", cached)
+        return cached
 
     # -- updates (persistent) ----------------------------------------------------
 

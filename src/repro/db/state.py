@@ -25,7 +25,9 @@ from repro.db.values import Atom, DBTuple, TupleId, TupleSet
 class State:
     """An immutable database state.
 
-    ``owner`` maps each live tuple identifier to the relation holding it;
+    ``owner`` maps each live tuple identifier to the relation holding it
+    (any mapping is accepted and converted once, here, to an
+    :class:`~repro.db.ownermap.OwnerMap`, so updates never re-wrap it);
     ``next_tid`` is the fresh-identifier allocator, kept in the state so that
     evaluation is deterministic (the paper's transactions are deterministic
     programs: the resulting state is uniquely determined by the initial state
@@ -33,8 +35,11 @@ class State:
     """
 
     relations: Mapping[str, Relation] = field(default_factory=dict)
-    owner: Mapping[TupleId, str] = field(default_factory=dict)
+    owner: Mapping[TupleId, str] = field(default_factory=OwnerMap)
     next_tid: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "owner", OwnerMap.wrap(self.owner))
 
     # -- access ---------------------------------------------------------------
 
@@ -131,7 +136,7 @@ class State:
         allocated = identified.tid == self.next_tid
         new_rels = dict(self.relations)
         new_rels[name] = rel.with_tuple(identified)
-        new_owner = OwnerMap.wrap(self.owner).set(identified.tid, name)
+        new_owner = self.owner.set(identified.tid, name)
         return (
             State(
                 new_rels,
@@ -151,7 +156,7 @@ class State:
                 return self
         new_rels = dict(self.relations)
         new_rels[name] = rel.without_tuple(tid)
-        new_owner = OwnerMap.wrap(self.owner).discard(tid)
+        new_owner = self.owner.discard(tid)
         return State(new_rels, new_owner, self.next_tid)
 
     def modify_tuple(self, t: DBTuple, index: int, value: Atom) -> "State":
@@ -184,7 +189,7 @@ class State:
                 f"assign to {name}: set arity {value.arity} != {arity}"
             )
         old = self.relations.get(name)
-        new_owner = OwnerMap.wrap(self.owner)
+        new_owner = self.owner
         if old is not None:
             for t in old:
                 new_owner = new_owner.discard(t.tid)

@@ -206,6 +206,11 @@ class TransactionServer:
     ``programs`` is the set of :class:`DatabaseProgram` values clients may
     invoke by name — the server executes *registered* programs only, it
     never evaluates terms off the wire.
+
+    ``planner=True`` plans the database's evaluations in the safe
+    configuration (``enable_planner(quarantine=True)``).  On a sharded
+    backend it is accepted and does nothing: every shard already plans its
+    constraint checks.
     """
 
     def __init__(
@@ -223,7 +228,8 @@ class TransactionServer:
         planner: bool = False,
     ) -> None:
         self.database = database
-        if planner and database._planner is None:
+        sharded = getattr(database, "is_sharded", False)
+        if planner and not sharded and database._planner is None:
             # Server deployments get the safe configuration: every planned
             # answer is cross-checked and the first mismatch quarantines
             # the planner rather than surfacing a wrong answer to clients.

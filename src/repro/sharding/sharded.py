@@ -20,11 +20,17 @@ Tuple identifiers stay globally unique by **block allocation**: a global
 counter (the only cross-shard synchronization single-shard commits ever
 touch, one lock-protected integer add per block, not per commit) hands out
 contiguous blocks of :data:`ALLOC_BLOCK` identifiers; each shard allocates
-within its current block and every cross-shard transaction evaluates in a
-fresh block, so ids minted concurrently can never collide.  Blocks are
-deliberately small — ``State.owner`` is a dense chunked vector, so id-space
-waste is padding — and a transaction that outgrows its block is simply
-re-evaluated (deterministically) against a fresh block sized to fit.
+within its current block and every cross-shard transaction or query
+evaluates in a fresh block, so ids minted concurrently can never collide.
+Unused ids in a block cost nothing — ``State.owner`` is a sparse chunk map
+(:mod:`repro.db.ownermap`), so a commit costs O(rows written) however far
+the id space has grown — and a transaction that outgrows its block is
+simply re-evaluated (deterministically) against a fresh block sized to fit.
+
+Every shard engine plans its constraint checks (``enable_planner``): the
+per-row invariants homed on a shard are answered by window / f-plans, as
+on a planned :class:`~repro.engine.Database`.  Transaction bodies run on
+the router's own :attr:`ShardedDatabase.interpreter`.
 """
 
 from __future__ import annotations
@@ -71,11 +77,15 @@ from repro.storage.store import Recovery, Store
 from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram
 
-#: Default tuple-identifier block span.  Small on purpose: the owner index
-#: is dense over ``[0, next_tid)``, so every unallocated id in a granted
-#: block costs one padding slot; transactions needing more ids than a block
-#: holds re-evaluate against a fresh, larger block.
+#: Default tuple-identifier block span.  The owner index is sparse, so the
+#: ids a block leaves unused are free; transactions needing more ids than a
+#: block holds re-evaluate against a fresh, larger block.
 ALLOC_BLOCK = 1024
+
+
+def _owner_of(relations: dict) -> dict:
+    """The owner entries of ``relations`` — O(their rows), never padded."""
+    return {tid: name for name, rel in relations.items() for tid in rel.tuples}
 
 
 @dataclass
@@ -214,15 +224,7 @@ class ShardedDatabase:
                 rebuilt.append(
                     _Shard(
                         index=i,
-                        db=Database(
-                            self._subschema(i),
-                            window=window,
-                            initial=State(state.relations, state.owner, lo),
-                            interpreter=self.interpreter,
-                            strict=strict,
-                            record_graph=False,
-                            metrics=self.metrics,
-                        ),
+                        db=self._engine(i, state, lo),
                         lock=threading.RLock(),
                         store=stores[i],
                         seq=seqs[i],
@@ -265,25 +267,14 @@ class ShardedDatabase:
                 for name, rel in full.relations.items()
                 if self.plan.shard_of(name) == i
             }
-            owner = {
-                tid: name for name, rel in rels.items() for tid in rel.tuples
-            }
             lo, hi = self._grab_block()
-            state = State(rels, owner, lo)
+            state = State(rels, _owner_of(rels), lo)
             if stores[i] is not None:
                 stores[i].initialize(state)
             built.append(
                 _Shard(
                     index=i,
-                    db=Database(
-                        self._subschema(i),
-                        window=window,
-                        initial=state,
-                        interpreter=self.interpreter,
-                        strict=strict,
-                        record_graph=False,
-                        metrics=self.metrics,
-                    ),
+                    db=self._engine(i, state, lo),
                     lock=threading.RLock(),
                     store=stores[i],
                     seq=0,
@@ -293,6 +284,22 @@ class ShardedDatabase:
         self.shards = tuple(built)
 
     # -- construction helpers ----------------------------------------------
+
+    def _engine(self, index: int, state: State, next_tid: int) -> Database:
+        """Shard ``index``'s engine over ``state``, allocating from
+        ``next_tid``, with the planner enabled: its constraint checks run
+        plans (transaction bodies still run on :attr:`interpreter`)."""
+        db = Database(
+            self._subschema(index),
+            window=self._window,
+            initial=State(state.relations, state.owner, next_tid),
+            interpreter=self.interpreter,
+            strict=self.strict,
+            record_graph=False,
+            metrics=self.metrics,
+        )
+        db.enable_planner()
+        return db
 
     def _subschema(self, index: int) -> Schema:
         """The sub-schema shard ``index`` enforces: its relations plus
@@ -404,6 +411,7 @@ class ShardedDatabase:
             shards=shards,
             window=window,
             placement=placement,
+            path=path,
             sync=sync,
             checkpoint_every=checkpoint_every,
             metrics=metrics,
@@ -548,16 +556,7 @@ class ShardedDatabase:
                 checkpoint_every=self.checkpoint_every,
             )
             lo, hi = self._grab_block()
-            state = promotion.state
-            shard.db = Database(
-                self._subschema(index),
-                window=self._window,
-                initial=State(state.relations, state.owner, lo),
-                interpreter=self.interpreter,
-                strict=self.strict,
-                record_graph=False,
-                metrics=self.metrics,
-            )
+            shard.db = self._engine(index, promotion.state, lo)
             shard.store = promotion.store
             shard.seq = promotion.seq
             shard.block_hi = hi
@@ -914,11 +913,9 @@ class ShardedDatabase:
 
     def _merge(self, states: Sequence[State], next_tid: int) -> State:
         relations = {}
-        owner = {}
         for state in states:
             relations.update(state.relations)
-            owner.update(state.owner)
-        return State(relations, owner, next_tid)
+        return State(relations, _owner_of(relations), next_tid)
 
     def _split_views(
         self, shards: Sequence[_Shard], after: State
@@ -940,11 +937,8 @@ class ShardedDatabase:
         views = {}
         for shard in shards:
             rels = per_shard[shard.index]
-            owner = {
-                tid: name for name, rel in rels.items() for tid in rel.tuples
-            }
             views[shard.index] = State(
-                rels, owner, shard.db.current.next_tid
+                rels, _owner_of(rels), shard.db.current.next_tid
             )
         return views
 

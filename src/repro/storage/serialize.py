@@ -173,12 +173,12 @@ def apply_delta(state: State, delta: dict) -> State:
     :func:`state_delta` at its recording site."""
     try:
         relations = dict(state.relations)
-        owner = dict(state.owner)
+        owner = state.owner
         for name in delta.get("dropped", ()):
             gone = relations.pop(name, None)
             if gone is not None:
                 for t in gone:
-                    owner.pop(t.tid, None)
+                    owner = owner.discard(t.tid)
         for name, arity in delta.get("created", ()):
             relations[name] = empty_relation(name, int(arity))
         for name, ops in delta.get("changes", {}).items():
@@ -186,13 +186,13 @@ def apply_delta(state: State, delta: dict) -> State:
             tuples = dict(rel.tuples)
             for tid in ops.get("del", ()):
                 tuples.pop(int(tid), None)
-                owner.pop(int(tid), None)
+                owner = owner.discard(int(tid))
             for tid, values in list(ops.get("ins", ())) + list(ops.get("mod", ())):
                 tid = int(tid)
                 tuples[tid] = DBTuple(
                     tid, tuple(_check_atom_doc(v) for v in values)
                 )
-                owner[tid] = name
+                owner = owner.set(tid, name)
             relations[name] = Relation(rel.name, rel.arity, tuples)
         return State(relations, owner, int(delta["next_tid"]))
     except (KeyError, TypeError, ValueError) as err:

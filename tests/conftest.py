@@ -6,8 +6,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro.constraints.model import Constraint
 from repro.db import DBTuple, Schema, State, state_from_rows
 from repro.domains import make_domain
+from repro.logic import builder as b
 
 
 @pytest.fixture()
@@ -25,6 +27,28 @@ def tiny_schema():
     schema = Schema()
     schema.add_relation("R", ("a", "b"))
     schema.add_relation("S", ("x", "y", "z"))
+    return schema
+
+
+@pytest.fixture()
+def stripe_schema():
+    """E18's sharding schema: stripe ``Ri`` has arity ``2 + i`` (distinct
+    arities keep each per-row constraint on its own stripe) and carries the
+    per-row invariant ``R{i}-values-nonnegative`` (``v >= 0``)."""
+    schema = Schema()
+    s = b.state_var("s")
+    for i in range(8):
+        rel = schema.add_relation(f"R{i}", ("k", "v") + tuple(f"p{j}" for j in range(i)))
+        t = rel.var("t")
+        schema.add_constraint(
+            Constraint(
+                f"R{i}-values-nonnegative",
+                b.forall(s, b.holds(s, b.forall(t, b.implies(
+                    b.member(t, rel.rel()), b.le(b.atom(0), rel.attr("v", t)),
+                )))),
+                declared_window=1,
+            )
+        )
     return schema
 
 

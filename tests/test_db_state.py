@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.constraints.checker import check_history
 from repro.errors import EvaluationError, SchemaError
 from repro.db import DBTuple, Schema, State, initial_state, make_tuple, state_from_rows
+from repro.db.evolution import History
+from repro.db.ownermap import OwnerMap
 from repro.db.values import TupleSet
+from repro.transactions.interpreter import Interpreter
 
 
 @pytest.fixture()
@@ -161,3 +165,45 @@ class TestIdentityAndDomains:
         t = next(iter(state.relation("S")))
         assert state.lookup_tuple(t.tid) == t
         assert state.lookup_tuple(12345) is None
+
+
+class TestOwnerConversion:
+    def test_a_dict_owner_is_converted_once(self, state):
+        built = State(state.relations, dict(state.owner), state.next_tid)
+        assert isinstance(built.owner, OwnerMap)
+        assert built.owner == state.owner
+        s2, _ = built.insert_tuple("R", make_tuple(5, 6))
+        assert isinstance(s2.owner, OwnerMap)
+
+
+class TestRelationSetCache:
+    def test_to_tuple_set_is_built_once_per_relation(self, state):
+        rel = state.relation("R")
+        assert rel.to_tuple_set() is rel.to_tuple_set()
+        s2, _ = state.insert_tuple("R", make_tuple(5, 6))
+        assert len(s2.relation("R").to_tuple_set()) == 3
+        assert len(rel.to_tuple_set()) == 2
+
+    def test_walked_check_builds_one_set_per_relation_version(
+        self, stripe_schema, monkeypatch
+    ):
+        """The walk tests ``t ∈ R0`` once per binding of ``t``; each test
+        must find R0's set built, not rebuild it (O(|R|²) per check)."""
+        constraint = next(
+            c for c in stripe_schema.constraints if c.name == "R0-values-nonnegative"
+        )
+        head = state_from_rows(stripe_schema, {"R0": [(k, k) for k in range(20)]})
+        history = History(window=3)
+        history.start(head)
+        for k in (20, 21):
+            head, _ = head.insert_tuple("R0", make_tuple(k, k))
+            history.advance(head, f"put-{k}")
+        builds = []
+        of = TupleSet.of
+        monkeypatch.setattr(
+            TupleSet, "of", staticmethod(lambda *a: builds.append(a) or of(*a))
+        )
+        assert check_history(constraint, history, Interpreter()).ok
+        assert len(builds) == 3  # one per R0 version in the window
+        assert check_history(constraint, history, Interpreter()).ok
+        assert len(builds) == 3

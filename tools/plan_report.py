@@ -13,6 +13,11 @@ The eight constraints the ledger's ``emp_*`` workloads install must plan:
 a refusal of one of them is a regression of the commit path and exits
 non-zero.
 
+A second section builds a 4-shard ``ShardedDatabase`` over an 8-stripe
+``v >= 0`` schema (E18's shape), writes once per stripe and prints each
+shard's planned / fallback evaluation counts; a shard that did not plan,
+or fell back to the walk, exits non-zero too.
+
 Run:  PYTHONPATH=src python tools/plan_report.py
 """
 
@@ -21,11 +26,16 @@ from __future__ import annotations
 import sys
 
 from repro.algebra.planner import QueryPlanner
+from repro.constraints.model import Constraint
 from repro.constraints.semantics import PartialModel
+from repro.db.schema import Schema
 from repro.domains import make_domain
 from repro.domains.banking import make_banking_domain
 from repro.errors import PlanError
+from repro.logic import builder as b
 from repro.logic.formulas import Forall
+from repro.sharding import ShardedDatabase
+from repro.transactions.program import transaction
 
 MUST_PLAN = frozenset({
     "every-employee-allocated", "alloc-references-project",
@@ -53,6 +63,37 @@ def verdict(planner: QueryPlanner, formula, state) -> str:
     return "planned (degenerate) over planned (f-plan)"
 
 
+def sharded() -> bool:
+    """Plan counts per shard after one write per stripe; True when every
+    shard planned and none fell back."""
+    schema, puts = Schema(), []
+    s, k, v = b.state_var("s"), b.atom_var("k"), b.atom_var("v")
+    for i in range(8):
+        rel = schema.add_relation(f"R{i}", ("k", "v") + tuple(f"p{j}" for j in range(i)))
+        t = rel.var("t")
+        schema.add_constraint(Constraint(
+            f"R{i}-values-nonnegative",
+            b.forall(s, b.holds(s, b.forall(t, b.implies(
+                b.member(t, rel.rel()), b.le(b.atom(0), rel.attr("v", t)))))),
+            declared_window=1,
+        ))
+        row = b.mktuple(k, v, *(b.atom(0) for _ in range(i)))
+        puts.append(transaction(f"put-R{i}", (k, v), b.insert(row, rel.name)))
+    sdb = ShardedDatabase(schema, shards=4)
+    for put in puts:
+        sdb.execute(put, 1, 1)
+    ok = True
+    print("\nsharded: 4 shards, 8 stripes, one write per stripe")
+    for shard in sdb.shards:
+        planner = shard.db.interpreter.planner  # None: the shard only walks
+        planned = planner.exec_count if planner else 0
+        fallback = planner.fallback_count if planner else 0
+        print(f"shard {shard.index}: planned {planned}, fallback {fallback}")
+        ok = ok and planned > 0 and fallback == 0
+    sdb.close()
+    return ok
+
+
 def main() -> int:
     employee, banking = make_domain(), make_banking_domain()
     planner = QueryPlanner()
@@ -69,7 +110,10 @@ def main() -> int:
                 refused.append(constraint.name)
     if refused:
         print(f"must-plan constraints refused: {', '.join(refused)}", file=sys.stderr)
-    return 1 if refused else 0
+    shards_plan = sharded()
+    if not shards_plan:
+        print("a shard did not plan its constraint checks", file=sys.stderr)
+    return 1 if refused or not shards_plan else 0
 
 
 if __name__ == "__main__":
