@@ -262,6 +262,10 @@ def state_from_rows(
 ) -> State:
     """Build a state from plain Python rows, allocating identifiers.
 
+    The result is the fold of :meth:`State.insert_tuple` over the rows —
+    identifiers in row order, a repeated value kept at its first row — but
+    built in one pass per relation instead of one state per row.
+
     >>> from repro.db.schema import Schema
     >>> schema = Schema()
     >>> _ = schema.add_relation("EMP",
@@ -271,8 +275,27 @@ def state_from_rows(
     >>> sorted(t.values for t in state.relation("EMP").tuples.values())
     [('alice', 'cs', 100, 30, 'M')]
     """
-    state = initial_state(schema)
+    empty = initial_state(schema)
+    relations = dict(empty.relations)
+    owner: dict[TupleId, str] = {}
+    next_tid = empty.next_tid
     for name, tuples in rows.items():
+        first: dict[tuple[Atom, ...], DBTuple] = {}
         for values in tuples:
-            state, _ = state.insert_tuple(name, DBTuple(None, tuple(values)))
-    return state
+            t = DBTuple(next_tid, tuple(values))
+            # Per row, as in the fold: an unknown relation with no rows is
+            # not an error.
+            arity = empty.relation(name).arity
+            if t.arity != arity:
+                raise SchemaError(
+                    f"inserting arity-{t.arity} tuple into {name} (arity {arity})"
+                )
+            if t.values not in first:
+                first[t.values] = t
+                owner[next_tid] = name
+                next_tid += 1
+        if first:
+            relations[name] = Relation(
+                name, arity, {t.tid: t for t in first.values()}
+            )
+    return State(relations, owner, next_tid)

@@ -45,7 +45,6 @@ from repro.transactions.program import DatabaseProgram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.eval.cache import QueryCache
-    from repro.eval.incremental import IncrementalChecker
     from repro.storage.store import Recovery, Store
 
 
@@ -80,6 +79,14 @@ class ExecutionRecord:
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
+
+    def raise_if_violated(self) -> None:
+        """Raise :class:`ConstraintViolation` naming the first failed check."""
+        failed = next((r for r in self.results if not r.ok), None)
+        if failed is not None:
+            raise ConstraintViolation(
+                failed.constraint.name, f"transaction {self.label} rolled back"
+            )
 
 
 class Database:
@@ -122,7 +129,6 @@ class Database:
         self._trusted: set[tuple[str, str]] = set()
         self.store: Optional["Store"] = None
         self._durable_seq = 0
-        self._incremental: Optional["IncrementalChecker"] = None
         self._query_cache: Optional["QueryCache"] = None
         self._planner: Optional["QueryPlanner"] = None
         self._warn_unenforced()
@@ -204,10 +210,8 @@ class Database:
                 self.graph.add_transition(
                     current, prepared, f"register-encoding:{encoding.log_name}"
                 )
-        # The head state changed outside the commit path: cached queries and
-        # constraint validity no longer describe it.
-        if self._incremental is not None:
-            self._incremental.reset()
+        # The head state changed outside the commit path: cached queries no
+        # longer describe it.
         if self._query_cache is not None:
             self._query_cache.clear()
         if self._planner is not None:
@@ -223,48 +227,8 @@ class Database:
             self._windows[constraint.name] = cached
         return cached
 
-    def enable_incremental(
-        self, *, verify: bool = False, quarantine: bool = False
-    ) -> "IncrementalChecker":
-        """Skip constraint re-checks a commit provably cannot affect.
-
-        Each commit's physical delta (:func:`~repro.storage.serialize.
-        state_delta`) is intersected with every constraint's statically
-        analyzed relation footprint; a constraint that held at the previous
-        commit and whose footprint the delta misses is not re-evaluated.
-        DESIGN.md §7.3 has the soundness argument.  With ``verify=True``
-        every skip additionally runs the full check and raises
-        :class:`~repro.eval.incremental.IncrementalMismatch` on
-        disagreement — the cross-checking correctness mode.
-        ``quarantine=True`` (implies verify) degrades gracefully instead:
-        the first mismatch disables the incremental analysis for the rest
-        of the run with a :class:`~repro.eval.quarantine.QuarantineWarning`
-        and a ``repro_quarantined_total`` increment, and the commit
-        proceeds on the full check's verdict.
-
-        Returns the checker (its ``stats`` expose skip/check counts).
-
-        >>> from repro.domains import make_domain
-        >>> domain = make_domain()
-        >>> domain.install_constraints("every-employee-allocated")
-        >>> db = Database(domain.schema, initial=domain.sample_state())
-        >>> checker = db.enable_incremental()
-        >>> _ = db.execute(domain.create_project, "web", 50)  # PROJ only
-        >>> (checker.stats.skipped, checker.stats.checked)
-        (0, 1)
-        >>> _ = db.execute(domain.create_project, "app", 60)
-        >>> (checker.stats.skipped, checker.stats.checked)
-        (1, 1)
-        """
-        from repro.eval.incremental import IncrementalChecker
-
-        self._incremental = IncrementalChecker(
-            self.schema,
-            verify=verify,
-            quarantine=quarantine,
-            metrics=self.metrics,
-        )
-        return self._incremental
+    def enable_incremental(self) -> None:
+        """Does nothing: every commit checks every enforceable constraint."""
 
     def enable_planner(
         self, *, verify: bool = False, quarantine: bool = False
@@ -564,43 +528,62 @@ class Database:
     ) -> State:
         """Run the commit-time validation of ``after`` without committing.
 
-        Executes the history encodings and the full constraint loop against
-        a forked candidate history and returns the final (encoded)
-        post-state, leaving the database untouched: history, evolution
-        graph, journal, and the eval accelerators' bookkeeping all stay as
-        they were.  Raises exactly what :meth:`apply` would raise —
-        :class:`~repro.errors.ConstraintViolation` on a violated
-        constraint, :class:`~repro.errors.CheckabilityError` under
-        ``strict`` for an uncheckable one.
+        Runs the history encodings and the commit's constraint loop
+        (:meth:`_check`) against a forked candidate history and returns the
+        final (encoded) post-state, leaving the database untouched:
+        history, evolution graph, journal, and the eval accelerators'
+        bookkeeping all stay as they were.  Because the loop is the one
+        :meth:`apply` runs, rehearsal raises exactly what :meth:`apply`
+        would raise — :class:`~repro.errors.ConstraintViolation` on a
+        violated constraint, :class:`~repro.errors.CheckabilityError` under
+        ``strict`` for an uncheckable one, and any evaluation error a check
+        raises.
 
         This is the PREPARE half of two-phase commit
         (:mod:`repro.sharding.twopc`): a participant rehearses before
         promising, so a prepared transaction can never fail its later
         :meth:`apply` — encodings are deterministic functions of
         ``(before, after)``, making the rehearsed state equal the applied
-        one.  Rehearsal always runs full checks; the incremental checker's
-        skip licenses are deliberately not consulted (nothing is committed,
-        so there is no delta to maintain its validity sets against).
+        one.
         """
         before = self.current
         for encoding in self.encodings:
             after = encoding.record(before, after)
-        candidate = self.history.fork()
-        candidate.advance(after, label)
+        self._check(after, label, program_name)[0].raise_if_violated()
+        return after
+
+    def _check(
+        self, after: State, label: str, program_name: Optional[str]
+    ) -> tuple[ExecutionRecord, Optional[History]]:
+        """The constraint loop of commit and rehearsal alike.
+
+        Per constraint: skip a trusted (constraint, program) pair, then one
+        the window cannot check (``strict`` raises instead), else check it
+        over the window advanced to ``after``.  Every constraint is
+        evaluated before any verdict is acted on.  Returns the record and
+        the candidate history advanced to ``after``, or ``None`` when no
+        constraint needed it: the fork is lazy, so a transaction whose
+        constraints are all skipped never pays for copying the window.
+        """
+        record = ExecutionRecord(label)
+        candidate: Optional[History] = None
         for c in self.schema.constraints:
             if program_name is not None and (c.name, program_name) in self._trusted:
+                record.skipped.append(
+                    SkippedCheck(c, f"verified preserved by {program_name}")
+                )
                 continue
             reason = self._unenforceable(c)
             if reason is not None:
                 if self.strict:
                     raise CheckabilityError(f"{c.name}: {reason}")
+                record.skipped.append(SkippedCheck(c, reason))
                 continue
-            result = check_history(c, candidate, self.interpreter)
-            if not result.ok:
-                raise ConstraintViolation(
-                    c.name, f"transaction {label} rolled back"
-                )
-        return after
+            if candidate is None:
+                candidate = self.history.fork()
+                candidate.advance(after, label)
+            record.results.append(check_history(c, candidate, self.interpreter))
+        return record, candidate
 
     def _commit(
         self,
@@ -614,72 +597,9 @@ class Database:
         before = self.current
         for encoding in self.encodings:
             after = encoding.record(before, after)
-
-        inc = self._incremental
-        touched: frozenset[str] = frozenset()
-        structural = False
-        if (
-            inc is not None
-            or self._query_cache is not None
-            or self._planner is not None
-        ):
-            from repro.storage.serialize import delta_touched, state_delta
-
-            delta = state_delta(before, after)
-            touched = frozenset(delta_touched(delta))
-            structural = bool(delta.get("created") or delta.get("dropped"))
-        if inc is not None:
-
-            def arity_of(name: str) -> Optional[int]:
-                rel = after.relations.get(name)
-                if rel is None:
-                    rel = before.relations.get(name)
-                return None if rel is None else rel.arity
-
-            inc.begin(touched, arity_of, structural=structural)
-
-        record = ExecutionRecord(label)
-        # The candidate history is built lazily: a transaction checked only
-        # by trusted/skipped constraints never pays for copying the window.
-        candidate: Optional[History] = None
-
-        for c in self.schema.constraints:
-            if program_name is not None and (c.name, program_name) in self._trusted:
-                record.skipped.append(
-                    SkippedCheck(c, f"verified preserved by {program_name}")
-                )
-                continue
-            reason = self._unenforceable(c)
-            if reason is not None:
-                if self.strict:
-                    raise CheckabilityError(f"{c.name}: {reason}")
-                record.skipped.append(SkippedCheck(c, reason))
-                continue
-            licensed = inc.licensed(c) if inc is not None else None
-            if licensed is not None and not inc.verify:
-                record.results.append(licensed)
-                inc.record_skip(c)
-                continue
-            if candidate is None:
-                candidate = self.history.fork()
-                candidate.advance(after, label)
-            result = check_history(c, candidate, self.interpreter)
-            record.results.append(result)
-            if inc is not None:
-                if licensed is not None:
-                    # Verify mode: the analysis licensed a skip — the full
-                    # check must agree or the analysis is broken.
-                    inc.cross_check(c, result.ok)
-                inc.record_full(c, result.ok)
-
+        record, candidate = self._check(after, label, program_name)
         self.records.append(record)
-        if not record.ok:
-            if inc is not None:
-                inc.finalize(success=False)
-            failed = next(r for r in record.results if not r.ok)
-            raise ConstraintViolation(
-                failed.constraint.name, f"transaction {label} rolled back"
-            )
+        record.raise_if_violated()
 
         if candidate is not None:
             # The candidate already holds the advanced, window-trimmed lists;
@@ -688,16 +608,21 @@ class Database:
             self.history.labels = candidate.labels
         else:
             self.history.advance(after, label)
-        if inc is not None:
-            inc.finalize(success=True)
-        if self._query_cache is not None:
-            self._query_cache.invalidate(touched, structural=structural)
-        if self._planner is not None:
-            self._planner.stats.observe_commit(delta)
-            if structural:
-                # Created/dropped relations can move a formula that was
-                # negatively cached as Incompilable into the fragment.
-                self._planner.invalidate_negative()
+        if self._query_cache is not None or self._planner is not None:
+            from repro.storage.serialize import delta_touched, state_delta
+
+            delta = state_delta(before, after)
+            structural = bool(delta.get("created") or delta.get("dropped"))
+            if self._query_cache is not None:
+                self._query_cache.invalidate(
+                    frozenset(delta_touched(delta)), structural=structural
+                )
+            if self._planner is not None:
+                self._planner.stats.observe_commit(delta)
+                if structural:
+                    # Created/dropped relations can move a formula that was
+                    # negatively cached as Incompilable into the fragment.
+                    self._planner.invalidate_negative()
         if self.graph is not None:
             self.graph.add_transition(before, after, label)
         if self.store is not None:

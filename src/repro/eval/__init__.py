@@ -1,25 +1,20 @@
-"""Incremental evaluation: tabled query caching + delta-driven checking.
+"""Evaluation support: footprints, the tabled query cache, version index.
 
-The commit path's dominant cost is re-evaluating every integrity constraint
-over the full window after every transaction, and the query path's is
-re-running pure-fluent evaluations whose inputs have not changed.  This
-package removes both redundancies without changing any verdict:
-
-* :mod:`repro.eval.footprint` — static analysis mapping each constraint to
-  the over-approximated set of relations its evaluation can read;
-* :mod:`repro.eval.incremental` — the commit-time checker that skips
-  constraints whose footprint is disjoint from the commit's physical delta
-  (with a verify mode cross-checking every skip against the full check);
+* :mod:`repro.eval.footprint` — static analysis mapping each constraint
+  (or program) to the over-approximated set of relations its evaluation
+  can read; sharding placement and routing run on it;
 * :mod:`repro.eval.cache` — a tabled cache of query results keyed on
   program, arguments, and a content digest of the relations the evaluation
   actually read (tracked through the interpreter's ``_touch`` seam);
 * :mod:`repro.eval.versions` — the per-relation last-writer index the
-  optimistic scheduler validates footprints against in O(|footprint|).
+  optimistic scheduler validates footprints against in O(|footprint|);
+* :mod:`repro.eval.quarantine` — graceful degradation for accelerators
+  whose ``verify`` mode caught a mismatch.
 
-Enable on a database with :meth:`~repro.engine.Database.enable_incremental`
-and :meth:`~repro.engine.Database.enable_query_cache`; both default to off
-so the fully re-checked semantics stay the baseline.  DESIGN.md §7.3 gives
-the soundness argument; ``docs/ARCHITECTURE.md`` places the layer in the
+Enable the cache on a database with
+:meth:`~repro.engine.Database.enable_query_cache`; it defaults to off so
+uncached evaluation stays the baseline.  DESIGN.md §7.3 gives the
+soundness arguments; ``docs/ARCHITECTURE.md`` places the layer in the
 system.
 """
 
@@ -28,11 +23,6 @@ from repro.eval.footprint import (
     Footprint,
     constraint_footprint,
     program_footprint,
-)
-from repro.eval.incremental import (
-    IncrementalChecker,
-    IncrementalMismatch,
-    IncrementalStats,
 )
 from repro.eval.versions import RelationVersions
 
@@ -43,8 +33,5 @@ __all__ = [
     "Footprint",
     "constraint_footprint",
     "program_footprint",
-    "IncrementalChecker",
-    "IncrementalMismatch",
-    "IncrementalStats",
     "RelationVersions",
 ]

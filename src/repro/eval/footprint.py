@@ -1,11 +1,12 @@
-"""Static relation-footprint analysis of integrity constraints.
+"""Static relation-footprint analysis of constraints and programs.
 
-The incremental checker of :mod:`repro.eval.incremental` may skip re-checking
-a constraint at a commit only when the commit provably cannot have changed
-the constraint's verdict.  The evidence is a **footprint**: an
-over-approximation of every relation the constraint's evaluation can read.
-This module computes that footprint syntactically, mirroring the two
-evaluators exactly:
+Sharding (:mod:`repro.sharding`) must know which relations a constraint's
+verdict, or a program's evaluation, can depend on: placement co-locates a
+constraint's relations on one shard, and routing sends a program to the
+shards owning its relations.  The evidence is a **footprint**: an
+over-approximation of every relation the evaluation can read.  This module
+computes that footprint syntactically, mirroring the two evaluators
+exactly:
 
 * relation constants (``RelConst``/``RelIdConst``) are read directly — the
   mention set :meth:`repro.transactions.program.DatabaseProgram.
@@ -25,9 +26,10 @@ evaluators exactly:
   the dereference denotes.  Such constraints get ``universe`` footprints —
   see DESIGN.md §7.3 for the resurrection scenario that forces this.
 
-A footprint can also be **ineligible** (never skippable) when the formula's
-verdict is not a pure function of the window's relation contents:
-existential state/transition quantification (the unbounded-future
+A footprint can also be **ineligible** (bounded by no relation set, so
+placement keeps every relation on one shard and routing fans out to all)
+when the formula's verdict is not a pure function of the window's relation
+contents: existential state/transition quantification (the unbounded-future
 constraints Section 3 calls uncheckable), interpreted state constants,
 embedded state-changing applications (which consume the allocator), or
 defined/Skolem symbols whose expansion this analysis cannot see.
@@ -46,7 +48,6 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
 
 from repro.constraints.classify import analyze_state_usage
 from repro.constraints.model import Constraint
@@ -65,7 +66,7 @@ from repro.logic.terms import (
     Var,
 )
 
-#: Symbol kinds whose application makes a constraint ineligible for skipping.
+#: Symbol kinds whose application makes a constraint's footprint ineligible.
 #: State-changing applications execute transactions inside the formula (they
 #: read the allocator, which advances on every commit); defined symbols
 #: expand to bodies this analysis cannot see; Skolem symbols are prover
@@ -82,8 +83,7 @@ class Footprint:
     ``relations`` are names read directly; ``arities`` widen to every
     relation (present or future) of those arities; ``universe`` means the
     evaluation may read any relation.  ``eligible=False`` means the verdict
-    is not a pure function of the window's relation contents at all, so the
-    incremental checker must always re-check.
+    is not a pure function of the window's relation contents at all.
     """
 
     constraint_name: str
@@ -95,33 +95,8 @@ class Footprint:
 
     @property
     def bounded(self) -> bool:
-        """Is the footprint a proper subset of the state (skips possible)?"""
+        """Is the footprint a proper subset of the state?"""
         return self.eligible and not self.universe
-
-    def blockers(
-        self,
-        touched: Iterable[str],
-        arity_of: Callable[[str], Optional[int]],
-    ) -> frozenset[str]:
-        """The touched relations this constraint may depend on.
-
-        ``arity_of`` resolves a touched relation's arity (from the commit's
-        post- or pre-state); an unresolvable arity blocks conservatively.
-        An empty result licenses a skip — provided the footprint is
-        ``eligible`` and the constraint held at the previous commit.
-        """
-        touched = frozenset(touched)
-        if not self.eligible or self.universe:
-            return touched
-        blocked = set()
-        for name in touched:
-            if name in self.relations:
-                blocked.add(name)
-                continue
-            arity = arity_of(name)
-            if arity is None or arity in self.arities:
-                blocked.add(name)
-        return frozenset(blocked)
 
     def __str__(self) -> str:
         if not self.eligible:
@@ -141,9 +116,8 @@ def constraint_footprint(constraint: Constraint, schema: Schema) -> Footprint:
     """Analyze one constraint against a schema.
 
     The returned footprint's name list is closed under arity widening at
-    *analysis* time (so callers can print it); soundness against relations
-    created later comes from re-testing ``arities`` in :meth:`Footprint.
-    blockers`.
+    *analysis* time (so callers can print it); relations created later are
+    covered by ``arities``, which sharding homes as a whole.
     """
     acc = _Acc()
     _walk(constraint.formula, fluent=False, acc=acc)

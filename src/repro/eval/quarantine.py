@@ -1,13 +1,13 @@
 """Graceful degradation for the evaluation accelerators.
 
-The query cache and the incremental constraint checker are *optimizations*
-with built-in referees: their ``verify`` modes re-run the slow path and
-raise (:class:`~repro.eval.cache.CacheMismatch` /
-:class:`~repro.eval.incremental.IncrementalMismatch`) when the fast path
-disagrees.  Raising is the right default for a correctness harness — but
-in production the right response to "my accelerator is wrong" is not to
-fail the user's commit, it is to *stop using the accelerator*: the slow
-path's answer is in hand and is correct by construction.
+The query cache and the algebra planner are *optimizations* with built-in
+referees: their ``verify`` modes re-run the slow path and raise
+(:class:`~repro.eval.cache.CacheMismatch` /
+:class:`~repro.errors.PlannerMismatch`) when the fast path disagrees.
+Raising is the right default for a correctness harness — but in
+production the right response to "my accelerator is wrong" is not to fail
+the user's commit, it is to *stop using the accelerator*: the slow path's
+answer is in hand and is correct by construction.
 
 ``quarantine=True`` switches both components to that posture.  On the
 first mismatch the component disables itself for the rest of the run,

@@ -1,10 +1,10 @@
 """Footprint-driven shard placement and routing.
 
 Placement answers one question: *which relations must live together?*  The
-answer comes from the same static analysis the incremental checker trusts
-(:mod:`repro.eval.footprint`): a constraint's verdict is a function of the
-relations in its footprint, so checking it on a single shard is sound
-exactly when that whole footprint is co-located.  :func:`plan_placement`
+answer comes from static footprint analysis (:mod:`repro.eval.footprint`):
+a constraint's verdict is a function of the relations in its footprint, so
+checking it on a single shard is sound exactly when that whole footprint
+is co-located.  :func:`plan_placement`
 therefore unions each constraint's footprint relations into clusters
 (union-find), widens arity-quantified constraints over every schema
 relation of those arities, and deals the resulting clusters across shards
@@ -15,7 +15,9 @@ Runtime-created relations route by a stable hash of their name
 (:meth:`ShardPlan.shard_of`); relations a constraint's arity widening must
 see are *homed* (:attr:`ShardPlan.arity_home`), and the sharded database
 refuses a runtime creation that would scatter a homed arity (see
-``sharded.py``) rather than silently weakening a constraint.
+``sharded.py``) rather than silently weakening a constraint.  Routing a
+program to the shards its footprint touches is the router's job
+(``ShardedDatabase._participants``).
 """
 
 from __future__ import annotations
@@ -96,26 +98,6 @@ class ShardPlan:
         if self.pin_creations is not None:
             return self.pin_creations
         return _hash_shard(name, self.shards)
-
-    def participants(self, footprint: Footprint) -> frozenset[int]:
-        """The shards a program with this footprint may read or write.
-
-        Universe or ineligible footprints touch every shard; bounded ones
-        touch exactly the shards owning their (arity-closed) relations.
-        Over-approximation in the footprint can only *widen* this set,
-        never hide a participant — which is the soundness direction routing
-        needs.
-        """
-        if not footprint.eligible or footprint.universe:
-            return frozenset(range(self.shards))
-        found = {self.shard_of(name) for name in footprint.relations}
-        for arity in footprint.arities:
-            homed = self.arity_home.get(arity)
-            if homed is not None:
-                found.add(homed)
-        if not found:
-            found = {0}
-        return frozenset(found)
 
     def describe(self) -> str:
         lines = [f"{self.shards} shard(s)"]

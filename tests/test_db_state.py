@@ -1,5 +1,7 @@
 """Immutable states: persistence, identifier allocation, sharing."""
 
+import random
+
 import pytest
 
 from repro.constraints.checker import check_history
@@ -36,6 +38,45 @@ class TestConstruction:
     def test_missing_relation_raises(self, state):
         with pytest.raises(EvaluationError):
             state.relation("T")
+
+
+def insert_fold(schema, rows):
+    """``state_from_rows``'s specification: one ``insert_tuple`` per row."""
+    state = initial_state(schema)
+    for name, tuples in rows.items():
+        for values in tuples:
+            state, _ = state.insert_tuple(name, DBTuple(None, tuple(values)))
+    return state
+
+
+class TestStateFromRows:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_insert_fold(self, schema, seed):
+        rng = random.Random(seed)
+        # Small value ranges force repeated values, within and across rows.
+        rows = {
+            "S": [(rng.choice("abcdef"),) for _ in range(rng.randrange(30))],
+            "R": [
+                (rng.randrange(6), rng.choice(["x", "y", 3]))
+                for _ in range(rng.randrange(60))
+            ],
+        }
+        built, folded = state_from_rows(schema, rows), insert_fold(schema, rows)
+        for name in schema.relations:
+            assert list(built.relation(name).tuples.items()) == list(
+                folded.relation(name).tuples.items()
+            )
+        assert dict(built.owner) == dict(folded.owner)
+        assert built.next_tid == folded.next_tid
+        assert built.digest() == folded.digest()
+
+    def test_arity_mismatch_raises(self, schema):
+        with pytest.raises(SchemaError):
+            state_from_rows(schema, {"S": [("p",), ("p", "q")]})
+
+    def test_unknown_relation_raises(self, schema):
+        with pytest.raises(EvaluationError):
+            state_from_rows(schema, {"T": [(1,)]})
 
 
 class TestInsert:

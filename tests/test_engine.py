@@ -4,8 +4,15 @@ import warnings
 
 import pytest
 
-from repro.errors import CheckabilityError, ConstraintViolation
+from repro import Schema, transaction
+from repro.constraints.model import Constraint
+from repro.errors import CheckabilityError, ConstraintViolation, EvaluationError
 from repro.engine import Database, UnenforcedConstraintWarning
+from repro.logic import builder as b
+
+S = b.state_var("s")
+A = b.rel("A", 2)
+A_EMPTY = b.eq(b.size_of(A), b.atom(0))
 
 
 @pytest.fixture()
@@ -274,3 +281,45 @@ class TestLazyCandidate:
         db.execute(domain.set_salary, "alice", 150)
         assert len(forks) == 1  # one fork serves every checked constraint
         assert db.records[0].ok and len(db.records[0].results) == 2
+
+
+class TestRehearseMatchesApply:
+    """``rehearse`` (the 2PC prepare) and ``apply`` run one constraint loop,
+    so a post-state fails both with the same error — even when the first
+    constraint is violated and a later one cannot be decided."""
+
+    def build(self, second: Constraint, *, strict: bool = False):
+        """A(k, v) under ``size(A) = 0`` then ``second``, and the post-state
+        of inserting ("x", 1) — which violates the first constraint."""
+        schema = Schema()
+        schema.add_relation("A", ("k", "v"))
+        schema.add_constraint(
+            Constraint("a-empty", b.forall(S, b.holds(S, A_EMPTY)))
+        )
+        schema.add_constraint(second)
+        db = Database(schema, window=2, strict=strict)
+        x, y = b.atom_var("x"), b.atom_var("y")
+        put = transaction("put", (x, y), b.insert(b.mktuple(x, y), "A"))
+        return db, put.run(db.current, "x", 1)
+
+    def test_a_raising_check_after_a_violation(self):
+        t = b.ftup_var("t", 2)
+        below_5 = b.forall(
+            t, b.implies(b.member(t, A), b.lt(b.select(t, 1), b.atom(5)))
+        )
+        db, after = self.build(
+            Constraint("k-below-5", b.forall(S, b.holds(S, below_5)))
+        )
+        for call in (db.rehearse, db.apply):
+            with pytest.raises(EvaluationError, match="expected a number"):
+                call(after, label="put")
+
+    def test_an_uncheckable_constraint_after_a_violation_under_strict(self):
+        # An existential state needs the unbounded future: uncheckable.
+        db, after = self.build(
+            Constraint("a-once-empty", b.exists(S, b.holds(S, A_EMPTY))),
+            strict=True,
+        )
+        for call in (db.rehearse, db.apply):
+            with pytest.raises(CheckabilityError, match="a-once-empty"):
+                call(after, label="put")

@@ -6,8 +6,9 @@ import pytest
 
 from repro.constraints.model import Constraint
 from repro.db.schema import Schema
-from repro.eval.footprint import Footprint, constraint_footprint
+from repro.eval.footprint import constraint_footprint
 from repro.logic import builder as b
+from repro.sharding.routing import plan_placement
 
 
 def cap_constraint(name: str, relation: str, arity: int, limit: int) -> Constraint:
@@ -72,58 +73,42 @@ class TestArityWidening:
         assert fp.relations == frozenset({"S", "T"})
         assert fp.arities == frozenset({2})
 
-    def test_blockers_catch_future_relations_of_widened_arity(self, schema):
-        s = b.state_var("s")
-        e = b.ftup_var("e", 2)
-        c = Constraint(
-            "some-pair",
-            b.forall(s, b.holds(s, b.forall(e, b.member(e, b.rel("S", 2))))),
-        )
-        fp = constraint_footprint(c, schema)
-        arities = {"R": 1, "S": 2, "T": 2, "NEW2": 2, "NEW9": 9}
-        # A newly created arity-2 relation blocks (enumeration grows) ...
-        assert fp.blockers({"NEW2"}, arities.get) == frozenset({"NEW2"})
-        # ... but an arity-9 one cannot affect this constraint.
-        assert fp.blockers({"NEW9"}, arities.get) == frozenset()
-
-    def test_unknown_arity_blocks_conservatively(self, schema):
-        fp = constraint_footprint(cap_constraint("cap", "R", 1, 10), schema)
-        fp_widened = Footprint(
-            constraint_name=fp.constraint_name,
-            relations=fp.relations,
-            arities=frozenset({1}),
-            universe=False,
-            eligible=True,
-            reason="",
-        )
-        assert fp_widened.blockers({"MYSTERY"}, lambda name: None) == frozenset(
-            {"MYSTERY"}
-        )
-
 
 class TestBlockers:
-    def test_disjoint_touch_does_not_block(self, schema):
-        fp = constraint_footprint(cap_constraint("cap", "R", 1, 10), schema)
-        arity = {"R": 1, "S": 2, "T": 2}.get
-        assert fp.blockers({"S", "T"}, arity) == frozenset()
-        assert fp.blockers({"R", "S"}, arity) == frozenset({"R"})
-        assert fp.blockers((), arity) == frozenset()
+    """An unbounded footprint blocks splitting the state: placement must
+    co-locate every relation, runtime-created ones included."""
 
-    def test_universe_blocks_on_any_touch_but_not_on_none(self, domain):
+    def test_universe_blocks_on_any_touch_but_not_on_none(self, schema):
         s = b.state_var("s")
         s2 = b.state_var("s2")
         c = Constraint("frozen", b.forall([s, s2], b.eq(s, s2)))
-        fp = constraint_footprint(c, domain.schema)
+        fp = constraint_footprint(c, schema)
         assert fp.eligible and fp.universe and not fp.bounded
-        assert fp.blockers({"PROJ"}, lambda n: 2) == frozenset({"PROJ"})
-        assert fp.blockers((), lambda n: 2) == frozenset()
+        # Bounded constraints alone leave relations free to spread ...
+        schema.add_constraint(cap_constraint("cap", "R", 1, 10))
+        free = plan_placement(schema, 3)
+        assert free.pin_creations is None
+        assert len(set(free.placement.values())) > 1
+        # ... but a universe footprint blocks every split, future ones too.
+        schema.add_constraint(c)
+        plan = plan_placement(schema, 3)
+        assert len(set(plan.placement.values())) == 1
+        assert plan.pin_creations == plan.placement["R"]
+        assert plan.shard_of("NEW") == plan.pin_creations
 
     def test_ineligible_blocks_even_with_empty_touch_set(self, domain):
         fp = constraint_footprint(domain.no_eternal_project(), domain.schema)
         assert not fp.eligible
-        # blockers() for ineligible footprints returns the whole touched set
-        # (and the checker refuses before asking when it is empty).
-        assert fp.blockers({"PROJ"}, lambda n: 2) == frozenset({"PROJ"})
+        # Ineligibility blocks regardless of which relations the formula
+        # names: relations it never mentions are pinned alongside PROJ.
+        sch = Schema()
+        sch.add_relation("PROJ", domain.schema.relation("PROJ").attributes)
+        for name in ("A", "B", "C"):
+            sch.add_relation(name, ("x",))
+        sch.add_constraint(domain.no_eternal_project())
+        plan = plan_placement(sch, 3)
+        assert len(set(plan.placement.values())) == 1
+        assert plan.shard_of("NEW") == plan.pin_creations == plan.placement["A"]
 
 
 class TestEligibility:
@@ -176,7 +161,7 @@ class TestEligibility:
         s2 = b.state_var("s2")
         c = Constraint("frozen", b.forall([s, s2], b.eq(s, s2)))
         fp = constraint_footprint(c, schema)
-        assert fp.eligible and fp.universe
+        assert fp.eligible and fp.universe and not fp.bounded
         assert "state equality" in fp.reason
 
     def test_all_domain_constraints_analyze_without_error(self, domain):

@@ -1,10 +1,9 @@
 """Graceful degradation of the evaluation accelerators (quarantine mode).
 
-A corrupted cache entry or an unsound incremental skip must not fail the
-user's commit when ``quarantine=True``: the faulty component disables
-itself (warning + metric) and the engine falls back to full evaluation.
-Without quarantine, verify mode must keep raising — the correctness
-harness stays strict.
+A corrupted cache entry must not fail the user's query when
+``quarantine=True``: the cache disables itself (warning + metric) and the
+engine falls back to full evaluation.  Without quarantine, verify mode
+must keep raising — the correctness harness stays strict.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ import warnings
 import pytest
 
 from repro import Database, Schema, transaction
-from repro.constraints.model import Constraint
-from repro.db.state import state_from_rows
 from repro.eval.cache import CacheMismatch, QueryCache
-from repro.eval.incremental import IncrementalChecker, IncrementalMismatch
 from repro.eval.quarantine import QuarantineWarning
 from repro.logic import builder as b
 from repro.transactions.program import query
@@ -99,91 +95,3 @@ class TestCacheQuarantine:
         poison_entry(cache)
         with pytest.raises(CacheMismatch):
             db.query(size_a)
-
-
-class TestIncrementalQuarantine:
-    def build_db_with_unsound_skip(self, schema, *, quarantine: bool):
-        """An engine whose incremental analysis is (artificially) wrong:
-        the footprint cache is poisoned so a constraint over A appears to
-        have an empty footprint — every A-commit then licenses an unsound
-        skip."""
-        s = b.state_var("s")
-        t = b.ftup_var("t", 2)
-        empty_a = Constraint(
-            "a-stays-empty",
-            b.forall(
-                s, b.holds(s, b.lnot(b.exists(t, b.member(t, b.rel("A", 2)))))
-            ),
-            declared_window=1,
-        )
-        schema.add_constraint(empty_a)
-        db = Database(schema, window=2)
-        checker = db.enable_incremental(quarantine=quarantine)
-        fp = checker.footprint(empty_a)
-        poisoned = dataclasses.replace(
-            fp, relations=frozenset(), arities=frozenset()
-        )
-        checker._footprints[id(empty_a)] = poisoned
-        return db, checker, empty_a
-
-    def seed_validity(self, db):
-        """One B-commit runs the full check and installs the constraint in
-        the valid set (A still empty, so it passes)."""
-        db.execute(put("B"), 1, 1)
-
-    def test_unsound_skip_raises_without_quarantine(self, schema):
-        db, checker, _ = self.build_db_with_unsound_skip(
-            schema, quarantine=False
-        )
-        checker.verify = True
-        self.seed_validity(db)
-        with pytest.raises(IncrementalMismatch):
-            db.execute(put("A"), 1, 1)
-
-    def test_unsound_skip_quarantines_and_commit_gets_true_verdict(
-        self, schema
-    ):
-        from repro.errors import ConstraintViolation
-
-        db, checker, _ = self.build_db_with_unsound_skip(
-            schema, quarantine=True
-        )
-        self.seed_validity(db)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # The skip was licensed unsoundly; quarantine falls back to the
-            # full check, which correctly REJECTS the commit.
-            with pytest.raises(ConstraintViolation):
-                db.execute(put("A"), 1, 1)
-        quarantines = [
-            w for w in caught if issubclass(w.category, QuarantineWarning)
-        ]
-        assert len(quarantines) == 1
-        assert "incremental-checker" in str(quarantines[0].message)
-        assert not checker.enabled
-        metric = db.metrics.get(
-            "repro_quarantined_total", component="incremental-checker"
-        )
-        assert metric.value == 1
-        # A was rolled back: the database is still consistent.
-        assert len(db.current.relation("A")) == 0
-
-    def test_quarantined_checker_licenses_nothing(self, schema):
-        db, checker, _ = self.build_db_with_unsound_skip(
-            schema, quarantine=True
-        )
-        self.seed_validity(db)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                db.execute(put("A"), 1, 1)
-            except Exception:
-                pass
-        checked_before = checker.stats.checked
-        self.seed_validity(db)  # another B-commit
-        assert checker.stats.checked == checked_before + 1  # full check ran
-        assert checker.stats.skipped == 0
-
-    def test_quarantine_implies_verify_on_checker(self, schema):
-        checker = IncrementalChecker(schema, quarantine=True)
-        assert checker.verify

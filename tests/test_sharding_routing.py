@@ -149,8 +149,7 @@ class TestRouting:
             ),
         )
         fp = program_footprint(pair, schema)
-        participants = sdb.plan.participants(fp)
-        assert len(participants) == 2
+        assert len(sdb._participants(fp)) == 2
         sdb.execute(pair, 1, 1)
         fams = metrics.families()
         prepares = sum(
