@@ -4,8 +4,8 @@ Runs the engine-wide chaos harness over one or more seeds: each round
 submits a mixed workload (striped writers, a hot relation, foreach sweeps)
 through an optimistic scheduler while deterministic faults are injected —
 evaluation stalls, spurious validation conflicts, budget near-misses,
-deadline squeezes — then poisons the query cache white-box and demands the
-quarantine machinery catch the lie.
+deadline squeezes — then corrupts the planner's answers white-box and
+demands the quarantine machinery catch the lie.
 
 Every round must end with: only typed outcomes, a serially replayable
 commit log, a final state equivalent to the unfaulted replay, and zero

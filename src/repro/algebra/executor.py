@@ -6,8 +6,8 @@ classes) while reading relations *differently* (hash joins and cached
 indexes instead of nested enumeration).  Its obligations:
 
 1. **Result equality** — bit-for-bit, including :class:`TupleSet`
-   representative order, which downstream ``==`` (cache verification,
-   oracle cross-checks) observes.
+   representative order, which downstream ``==`` (the oracle
+   cross-checks) observes.
 2. **The read-set contract** — a plan's read set is the relations the
    plan names (its levels, its ``not exists``/union/``forall`` body
    levels, the relations its group-by sub-plans aggregate, the ``forall``
@@ -16,7 +16,7 @@ indexes instead of nested enumeration).  Its obligations:
    above by a set computable from the plan alone.  :func:`_open` reports
    it through ``_touch`` before any join runs, so join order, pushdown
    and early exits never change it (DESIGN.md §7.6 says why a superset
-   is all the query cache and the scheduler need).  Two things make it
+   is all the scheduler's validation needs).  Two things make it
    larger than the tree walk's: a relation named behind a prefix that is
    empty on this state, and a parameter no row needed — in particular a
    tuple parameter whose identifier is dead, which ``_deref`` resolves

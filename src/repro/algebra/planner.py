@@ -25,8 +25,7 @@ relation the plan names before it joins, whatever the physical join order
 
 ``verify=True`` cross-checks every planned answer against the tree-walk
 oracle; ``quarantine=True`` additionally disables the planner on the first
-mismatch and answers from the oracle — the same last-line-of-defense
-contract as the query cache.
+mismatch and answers from the oracle (:mod:`repro.eval.quarantine`).
 """
 
 from __future__ import annotations

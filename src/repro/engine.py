@@ -44,7 +44,6 @@ from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.eval.cache import QueryCache
     from repro.storage.store import Recovery, Store
 
 
@@ -129,7 +128,6 @@ class Database:
         self._trusted: set[tuple[str, str]] = set()
         self.store: Optional["Store"] = None
         self._durable_seq = 0
-        self._query_cache: Optional["QueryCache"] = None
         self._planner: Optional["QueryPlanner"] = None
         self._warn_unenforced()
 
@@ -210,10 +208,6 @@ class Database:
                 self.graph.add_transition(
                     current, prepared, f"register-encoding:{encoding.log_name}"
                 )
-        # The head state changed outside the commit path: cached queries no
-        # longer describe it.
-        if self._query_cache is not None:
-            self._query_cache.clear()
         if self._planner is not None:
             self._planner.stats.prime(self.history.states[-1])
             # A formula refused over the old schema may compile now.
@@ -244,17 +238,17 @@ class Database:
         (including canonical enumeration order) and budget enforcement are
         replicated; errors are the tree walk's own, because a node whose
         predicates could raise on the current column types is handed back
-        to it.  The ``_touch`` read sets that drive query-cache digests
-        and optimistic-conflict validation follow one contract: a plan
-        reports the relations it names plus the owners of its parameters —
-        a superset of the tree walk's reads, so cached answers and
-        validation stay sound, at the price of a spurious invalidation or
-        conflict when a named relation sat behind an empty prefix, or when
-        a parameter no row needed was a dead tuple, whose dereference
-        reads every relation (DESIGN.md §7.6).  Inexpressible nodes
-        silently fall back to the tree walk.  Constraint checking,
+        to it.  The ``_touch`` read sets that drive optimistic-conflict
+        validation follow one contract: a plan reports the relations it
+        names plus the owners of its parameters — a superset of the tree
+        walk's reads, so validation stays sound, at the price of a
+        spurious conflict when a named relation sat behind an empty
+        prefix, or when a parameter no row needed was a dead tuple, whose
+        dereference reads every relation (DESIGN.md §7.6).  Inexpressible
+        nodes silently fall back to the tree walk.  Constraint checking,
         :meth:`query`, and server ``QUERY`` evaluation all go through the
-        same interpreter, so all three accelerate.
+        same interpreter, so all three accelerate; the planner is the
+        engine's only evaluation accelerator.
 
         A constraint — a closed ``forall`` prefix over states, transitions
         and tuples — is planned as a whole: a *window plan* joins the
@@ -298,54 +292,8 @@ class Database:
         )
         return self._planner
 
-    def enable_query_cache(
-        self,
-        *,
-        max_entries: int = 1024,
-        verify: bool = False,
-        quarantine: bool = False,
-    ) -> "QueryCache":
-        """Memoize :meth:`query` results until a commit touches their reads.
-
-        Entries are keyed on the program, its arguments, and a content
-        digest of the relations the evaluation actually read (never on the
-        tracer, so profiling cannot change hit behavior); commits
-        invalidate by relation.  ``verify=True`` re-evaluates on every hit
-        and raises :class:`~repro.eval.cache.CacheMismatch` on any
-        difference.  ``quarantine=True`` (implies verify) degrades
-        gracefully instead: the first mismatch disables the cache for the
-        rest of the run (warning + ``repro_quarantined_total``) and the
-        query returns the fresh value.
-
-        Returns the cache (its ``stats`` expose hit/miss/invalidation
-        counts).
-
-        >>> from repro.domains import make_domain
-        >>> from repro.logic import builder as b
-        >>> from repro.transactions.program import query
-        >>> domain = make_domain()
-        >>> db = Database(domain.schema, initial=domain.sample_state())
-        >>> cache = db.enable_query_cache()
-        >>> headcount = query("headcount", (), b.size_of(b.rel("EMP", 5)))
-        >>> db.query(headcount), db.query(headcount)
-        (4, 4)
-        >>> (cache.stats.hits, cache.stats.misses)
-        (1, 1)
-        >>> _ = db.execute(domain.hire, "erin", "cs", 90, 25, "S")
-        >>> db.query(headcount)
-        5
-        >>> (cache.stats.hits, cache.stats.misses)
-        (1, 2)
-        """
-        from repro.eval.cache import QueryCache
-
-        self._query_cache = QueryCache(
-            max_entries,
-            verify=verify,
-            quarantine=quarantine,
-            metrics=self.metrics,
-        )
-        return self._query_cache
+    def enable_query_cache(self) -> None:
+        """Does nothing: every :meth:`query` is one evaluation."""
 
     # -- durability ------------------------------------------------------------
 
@@ -443,8 +391,8 @@ class Database:
     ) -> Value:
         """Evaluate a query program at the current state.
 
-        When :meth:`enable_query_cache` is active the evaluation is
-        memoized; results are always identical to an uncached run.
+        One evaluation through the database's interpreter, so
+        :meth:`enable_planner` answers it from plans where it can.
         ``budget`` (a :class:`~repro.transactions.budget.Budget`) bounds the
         evaluation exactly as in :meth:`execute` — the transaction server
         uses it to meter per-tenant query work.
@@ -461,10 +409,6 @@ class Database:
         if budget is not None:
             interpreter = dataclasses.replace(
                 interpreter, budget=budget.fresh()
-            )
-        if self._query_cache is not None:
-            return self._query_cache.evaluate(
-                program, tuple(args), self.current, interpreter
             )
         return program.query(self.current, *args, interpreter=interpreter)
 
@@ -531,8 +475,8 @@ class Database:
         Runs the history encodings and the commit's constraint loop
         (:meth:`_check`) against a forked candidate history and returns the
         final (encoded) post-state, leaving the database untouched:
-        history, evolution graph, journal, and the eval accelerators'
-        bookkeeping all stay as they were.  Because the loop is the one
+        history, evolution graph, journal, and the planner's statistics
+        all stay as they were.  Because the loop is the one
         :meth:`apply` runs, rehearsal raises exactly what :meth:`apply`
         would raise — :class:`~repro.errors.ConstraintViolation` on a
         violated constraint, :class:`~repro.errors.CheckabilityError` under
@@ -608,21 +552,15 @@ class Database:
             self.history.labels = candidate.labels
         else:
             self.history.advance(after, label)
-        if self._query_cache is not None or self._planner is not None:
-            from repro.storage.serialize import delta_touched, state_delta
+        if self._planner is not None:
+            from repro.storage.serialize import state_delta
 
             delta = state_delta(before, after)
-            structural = bool(delta.get("created") or delta.get("dropped"))
-            if self._query_cache is not None:
-                self._query_cache.invalidate(
-                    frozenset(delta_touched(delta)), structural=structural
-                )
-            if self._planner is not None:
-                self._planner.stats.observe_commit(delta)
-                if structural:
-                    # Created/dropped relations can move a formula that was
-                    # negatively cached as Incompilable into the fragment.
-                    self._planner.invalidate_negative()
+            self._planner.stats.observe_commit(delta)
+            if delta.get("created") or delta.get("dropped"):
+                # Created/dropped relations can move a formula that was
+                # negatively cached as Incompilable into the fragment.
+                self._planner.invalidate_negative()
         if self.graph is not None:
             self.graph.add_transition(before, after, label)
         if self.store is not None:

@@ -341,7 +341,7 @@ class PlannerMismatch(PlanError):
     Raised only when :meth:`Database.enable_planner` was called with
     ``verify=True`` and ``quarantine=False``; with quarantine on, the
     planner disables itself and answers from the oracle instead of raising
-    (same contract as the query cache).
+    (:mod:`repro.eval.quarantine`).
     """
 
     def __init__(self, detail: str) -> None:

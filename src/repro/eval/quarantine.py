@@ -1,15 +1,15 @@
-"""Graceful degradation for the evaluation accelerators.
+"""Graceful degradation for the evaluation accelerator.
 
-The query cache and the algebra planner are *optimizations* with built-in
-referees: their ``verify`` modes re-run the slow path and raise
-(:class:`~repro.eval.cache.CacheMismatch` /
-:class:`~repro.errors.PlannerMismatch`) when the fast path disagrees.
-Raising is the right default for a correctness harness — but in
-production the right response to "my accelerator is wrong" is not to fail
-the user's commit, it is to *stop using the accelerator*: the slow path's
-answer is in hand and is correct by construction.
+The algebra planner is an *optimization* with a built-in referee: its
+``verify`` mode re-runs the tree walk and raises
+:class:`~repro.errors.PlannerMismatch` when the plan disagrees.  Raising
+is the right default for a correctness harness — but in production the
+right response to "my accelerator is wrong" is not to fail the user's
+commit, it is to *stop using the accelerator*: the slow path's answer is
+in hand and is correct by construction.  The planner is this module's one
+client.
 
-``quarantine=True`` switches both components to that posture.  On the
+``quarantine=True`` switches the planner to that posture.  On the
 first mismatch the component disables itself for the rest of the run,
 emits a structured :class:`QuarantineWarning`, increments
 ``repro_quarantined_total{component=...}``, and the commit/query proceeds

@@ -208,26 +208,17 @@ def delta_touched(delta: dict) -> set[str]:
     )
 
 
-def touched_digest(
-    state: State, names: Iterable[str], *, include_allocator: bool = True
-) -> str:
+def touched_digest(state: State, names: Iterable[str]) -> str:
     """SHA-256 over the canonical content of just the named relations plus
-    (by default) the allocator.
+    the allocator.
 
     This is the journal's per-record integrity check: hashing only the
     relations a commit touched keeps the commit path O(|delta|) instead of
     O(|state|), while still pinning the applied result exactly — untouched
     relations are covered inductively by the record that last touched them
     (or by the snapshot's full :func:`state_digest`).
-
-    ``include_allocator=False`` drops ``next_tid`` from the hash.  The query
-    cache keys on that variant: a pure query can observe tuple identifiers
-    (they are in the rows) but never the allocator itself, so commits that
-    only bump it must not churn cache keys.
     """
-    doc: dict = {"touched": {}}
-    if include_allocator:
-        doc["next_tid"] = state.next_tid
+    doc: dict = {"touched": {}, "next_tid": state.next_tid}
     for name in sorted(set(names)):
         rel = state.relations.get(name)
         doc["touched"][name] = (

@@ -2,7 +2,7 @@
 
 The governance layer claims that no matter what goes wrong — a stalled
 evaluation, a storm of validation conflicts, a transaction that runs out
-of fuel at the worst moment, a poisoned cache entry — the engine's answer
+of fuel at the worst moment, a planner that lies — the engine's answer
 is always a *typed* error or a clean degradation, never a hang, a wrong
 answer, or an unserializable history.  This module is the harness that
 earns that claim.
@@ -21,9 +21,9 @@ injects four fault families into the optimistic scheduler:
 * **deadline squeezes** — sub-workload wall-clock deadlines that interrupt
   evaluation *in the middle of a foreach*, not just between retries.
 
-Cache poisoning is a fifth, serial-phase fault: a committed query-cache
-entry has its value flipped white-box, and a quarantined cache must detect
-the lie, disable itself, and keep answering correctly.
+Planner corruption is a fifth, serial-phase fault: the planner's answers
+are flipped white-box, and a quarantined planner must detect the lie,
+disable itself, and keep answering correctly from the tree walk.
 
 **Determinism.**  Every per-transaction fault plan is pre-drawn at submit
 time from an RNG seeded with ``(seed, index)`` — worker scheduling cannot
@@ -75,7 +75,6 @@ class ChaosConfig:
     squeeze_steps: tuple[int, int] = (4, 80)  # near-miss fuel range
     deadline_rate: float = 0.15
     deadline_seconds: tuple[float, float] = (0.001, 0.02)
-    poison_rate: float = 0.5  # per serial-phase query
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ class ChaosInjector:
             "spurious_conflicts": 0,
             "budget_squeezes": 0,
             "deadline_squeezes": 0,
-            "cache_poisonings": 0,
         }
 
     # -- planning ----------------------------------------------------------
@@ -210,28 +208,6 @@ class ChaosInjector:
             return frozenset({CHAOS_RELATION})
         return None
 
-    # -- serial-phase faults -----------------------------------------------
-
-    def poison_cache(self, rng: random.Random) -> int:
-        """Flip the value of every cached query entry with probability
-        ``poison_rate`` (white-box; call only while no manager is live —
-        the cache is not thread-safe).  Returns how many entries lied."""
-        cache = self.database._query_cache
-        if cache is None:
-            return 0
-        poisoned = 0
-        for key, entry in list(cache._entries.items()):
-            if rng.random() < self.config.poison_rate:
-                wrong = (
-                    entry.value + 1
-                    if isinstance(entry.value, int)
-                    else ("poisoned", entry.value)
-                )
-                cache._entries[key] = dataclasses.replace(entry, value=wrong)
-                poisoned += 1
-        self.injected["cache_poisonings"] += poisoned
-        return poisoned
-
 
 # -- the soak test ---------------------------------------------------------
 
@@ -247,7 +223,6 @@ class ChaosReport:
     failed: int = 0
     injected: dict = field(default_factory=dict)
     quarantined: int = 0
-    poison_detected: int = 0
     untyped_errors: list = field(default_factory=list)
     serializable: bool = False
     replay_equivalent: bool = False
@@ -311,8 +286,9 @@ def run_soak(
     Phase 1 (concurrent): ``transactions`` submissions — striped puts, a
     hot relation every fourth transaction, a ``foreach`` sweep every
     seventh — each under its deterministic fault plan.  Phase 2 (serial,
-    manager closed): cached queries are poisoned white-box and re-asked;
-    the quarantined cache must return correct values and disable itself.
+    manager closed): the planner's answers are corrupted white-box and
+    the size queries re-asked; the quarantined planner must disable itself
+    and every answer must come back correct from the tree walk.
 
     The contract checked (``report.ok``): every outcome typed (COMMITTED,
     or ABORTED/FAILED carrying a :class:`~repro.errors.ReproError`), the
@@ -321,7 +297,6 @@ def run_soak(
     """
     report = ChaosReport(seed=seed)
     db = Database(_soak_schema(stripes), window=2)
-    db.enable_query_cache(quarantine=True)
     planner = db.enable_planner(quarantine=True)
     puts, bump, sweep = _soak_programs(stripes)
     chaos = ChaosInjector(db, seed=seed, config=config)
@@ -370,38 +345,15 @@ def run_soak(
             mgr.initial, db.current, replayed
         )
 
-    # Phase 2: poison the query cache, re-ask, demand the truth.
-    rng = random.Random(f"chaos-poison:{seed}")
+    # Phase 2: corrupt the planner's answers white-box; the verify
+    # cross-check must quarantine it on the first lie and every answer
+    # must still be correct (served from the tree-walk oracle).
     sizes = [
         query(f"size-{name}", (), b.size_of(b.rel(name, 2)))
         for name in ["HOT", "SWEEP"] + [f"R{i}" for i in range(stripes)]
     ]
-    expected = {
-        q.name: db.query(q) for q in sizes  # misses: fills the cache
-    }
+    expected = {q.name: db.query(q) for q in sizes}
     report.injected = dict(chaos.injected)
-    poisoned = chaos.poison_cache(rng)
-    report.injected["cache_poisonings"] = poisoned
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for q in sizes:
-            answer = db.query(q)
-            if answer != expected[q.name]:
-                report.wrong_answers += 1
-        report.quarantined = sum(
-            1 for w in caught if issubclass(w.category, QuarantineWarning)
-        )
-    # The first detected lie quarantines the whole cache, so one warning
-    # proves detection even when several entries were poisoned.
-    report.poison_detected = report.quarantined
-    if poisoned and not report.quarantined:
-        report.untyped_errors.append(
-            "cache poisoning went undetected (no quarantine)"
-        )
-
-    # Phase 3: corrupt the planner's answers white-box; the verify
-    # cross-check must quarantine it on the first lie and every answer
-    # must still be correct (served from the tree-walk oracle).
     if planner.mismatch_count:
         # A mismatch before deliberate corruption is a real planner bug,
         # not chaos — surface it as a contract violation.
@@ -411,25 +363,19 @@ def run_soak(
     if planner.enabled:
         planner._chaos_corrupt = True
         report.injected["planner_corruptions"] = 1
-        fresh = [
-            query(f"recount-{name}", (), b.size_of(b.rel(name, 2)))
-            for name in ["HOT", "SWEEP"] + [f"R{i}" for i in range(stripes)]
-        ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for q, orig in zip(fresh, sizes):
-                answer = db.query(q)
-                if answer != expected[orig.name]:
+            for q in sizes:
+                if db.query(q) != expected[q.name]:
                     report.wrong_answers += 1
         planner._chaos_corrupt = False
-        detected = sum(
+        report.quarantined = sum(
             1
             for w in caught
             if issubclass(w.category, QuarantineWarning)
             and getattr(w.message, "component", "") == "planner"
         )
-        report.quarantined += detected
-        if not detected:
+        if not report.quarantined:
             report.untyped_errors.append(
                 "planner corruption went undetected (no quarantine)"
             )

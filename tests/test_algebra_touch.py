@@ -5,9 +5,8 @@ it dereferences.  Per query shape — including the empty-domain and
 all-rows-filtered corners where the tree walk stops early — that must be
 
 * a **superset** of the tree walk's reads: the read set feeds the
-  :class:`QueryCache` validity digest and the optimistic scheduler's
-  conflict validation, so an under-report means a cached answer survives a
-  commit that should have killed it, or a stale transaction commits;
+  optimistic scheduler's conflict validation, so an under-report means a
+  stale transaction commits;
 * a **subset** of a bound computable from the plan alone
   (``plan_relations ∪ param_owners ∪ arity_class``) — which is what stops
   "touch everything" from passing.
@@ -22,7 +21,7 @@ import threading
 
 import pytest
 
-from repro import Database, RetryPolicy, query
+from repro import Database, RetryPolicy
 from repro.algebra import Scan
 from repro.concurrent.tracking import TrackingInterpreter
 from repro.db.state import state_from_rows
@@ -404,63 +403,6 @@ def writers(d):
         "ALLOC": (d.allocate, ("bob", "apollo", 10)),
         "SKILL": (d.add_skill, ("bob", 2)),
     }
-
-
-class TestQueryCacheSoundness:
-    def cs_names(self, d):
-        e = d.emp.var("e")
-        return query(
-            "cs-names",
-            (),
-            b.setformer(
-                d.emp.attr("e-name", e),
-                e,
-                b.land(
-                    b.member(e, d.emp.rel()),
-                    b.eq(d.emp.attr("e-dept", e), b.atom("cs")),
-                ),
-            ),
-        )
-
-    def test_planned_entry_invalidated_by_write_to_read_set(self, d):
-        db = Database(d.schema, initial=state_with(d))
-        cache = db.enable_query_cache()
-        db.enable_planner()
-        q = self.cs_names(d)
-        db.query(q)
-        assert db.query(q) is not None  # hit
-        assert cache.stats.hits == 1
-        db.execute(d.hire, "carol", "cs", 80, 28, "S")
-        result = db.query(q)  # must re-evaluate, see carol
-        assert cache.stats.hits == 1
-        assert any(t.values == ("carol",) for t in result.representatives)
-
-    @pytest.mark.parametrize(
-        "former", [join_former, union_former, two_exists_former]
-    )
-    def test_planned_answer_dies_on_any_write_the_tree_walk_would_see(
-        self, d, former
-    ):
-        """Soundness of the superset: for every relation the *tree walk*
-        reads, a write to it must kill the planned cache entry — and the
-        re-evaluated answer must equal a fresh uncached tree walk."""
-        node = former(d)
-        _, _, tree_reads = evaluate(d, state_with(d), node, planner=False)
-        assert tree_reads
-        for rel in sorted(tree_reads):
-            program, args = writers(d)[rel]
-            db = Database(d.schema, initial=state_with(d))
-            cache = db.enable_query_cache()
-            db.enable_planner()
-            q = query("q", (), node)
-            db.query(q)
-            db.query(q)
-            assert cache.stats.hits == 1
-            db.execute(program, *args)
-            got = db.query(q)
-            assert cache.stats.hits == 1, f"entry survived a write to {rel}"
-            _, expected, _ = evaluate(d, db.current, node, planner=False)
-            assert got == expected
 
 
 class TestSchedulerSoundness:

@@ -108,9 +108,9 @@ class TestSoakAcceptance:
         )
         # The harness is not a placebo: faults were actually injected.
         assert sum(report.injected.values()) > 0
-        # Poisoning (if any entry was poisoned) was detected, never served.
-        if report.injected.get("cache_poisonings"):
-            assert report.poison_detected >= 1
+        # The corrupted planner was detected and quarantined, never served.
+        if report.injected.get("planner_corruptions"):
+            assert report.quarantined >= 1
         assert report.ok
 
     def test_soak_totals_meet_the_acceptance_floor(self):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import Database, Schema, transaction
+from repro import Database, Schema, query, transaction
 from repro.logic import builder as b
 from repro.obs import MetricsRegistry, Span, profile_from_json
 
@@ -49,6 +49,26 @@ class TestProfileBlock:
         iters = [s for s in copy.root.walk() if s.kind == "foreach-iter"]
         assert len(iters) == 2
         assert copy.step_count() >= 4  # txn + foreach + iters + actions
+
+    def test_profiling_never_changes_results(self, schema, programs):
+        """Observation is never input: a profiled run of queries and
+        commits answers and commits exactly what an unprofiled one does."""
+        size_a = query("size-a", (), b.size_of(b.rel("A", 2)))
+
+        def workload(db):
+            answers = [db.query(size_a)]
+            db.execute(programs["put_a"], 1, 10)
+            answers.append(db.query(size_a))
+            db.execute(programs["copy"])
+            return answers + [db.query(size_a)]
+
+        plain, traced = Database(schema, window=2), Database(schema, window=2)
+        for db in (plain, traced):
+            db.enable_planner()
+        expected = workload(plain)
+        with traced.profile():
+            assert workload(traced) == expected == [0, 1, 1]
+        assert traced.current.digest() == plain.current.digest()
 
     def test_tracer_detached_after_block(self, schema, programs):
         db = Database(schema, window=2)
