@@ -1,12 +1,8 @@
 """The wire protocol: length-prefixed, CRC-framed JSON messages.
 
-The frame format is the :mod:`repro.storage.journal` idiom applied to a
-socket::
-
-    frame := b"RT"                       2-byte frame marker
-           | length  (uint32, big-endian)
-           | crc32   (uint32, big-endian, over payload)
-           | payload (canonical JSON, `length` bytes)
+Every message is one :func:`repro.storage.serialize.frame` with the marker
+``b"RT"`` — the journal's frame (layout in that function's docstring),
+applied to a socket.
 
 Unlike the journal there is no file header: a connection is a stream of
 frames in both directions, and the **handshake is versioned in-band** — the
@@ -36,8 +32,6 @@ poisoned connection and reconnects.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 
 from repro.errors import (
     BudgetExceeded,
@@ -65,13 +59,19 @@ from repro.errors import (
     TransactionConflict,
 )
 from repro.db.values import DBTuple, RelationId, TupleSet
-from repro.storage.serialize import canonical_bytes
+from repro.storage.serialize import (
+    BAD_MARKER,
+    CRC_MISMATCH,
+    IMPLAUSIBLE_LENGTH,
+    canonical_bytes,
+    frame,
+    read_frame,
+)
 from repro.transactions.interpreter import _tuple_order_key
 
 PROTOCOL_VERSION = 1
 
 FRAME_MAGIC = b"RT"
-_HEADER_SIZE = 2 + 4 + 4  # marker + length + crc32
 #: Frames above this are refused as corruption, not data — a transaction
 #: request is a program name plus atom arguments, never megabytes.
 MAX_FRAME_PAYLOAD = 1 << 24  # 16 MiB
@@ -88,12 +88,7 @@ def encode_message(doc: dict) -> bytes:
             f"message of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_PAYLOAD}-byte frame limit"
         )
-    return (
-        FRAME_MAGIC
-        + struct.pack(">I", len(payload))
-        + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
-    )
+    return frame(FRAME_MAGIC, payload)
 
 
 class FrameDecoder:
@@ -130,20 +125,18 @@ class FrameDecoder:
         messages: list[dict] = []
         while True:
             buf = self._buffer
-            if len(buf) < _HEADER_SIZE:
-                return messages
-            if bytes(buf[:2]) != FRAME_MAGIC:
-                raise self._fail(f"bad frame marker {bytes(buf[:2])!r}")
-            (length,) = struct.unpack_from(">I", buf, 2)
-            (crc,) = struct.unpack_from(">I", buf, 6)
-            if length > self.max_payload:
-                raise self._fail(f"implausible frame length {length}")
-            if len(buf) - _HEADER_SIZE < length:
-                return messages
-            payload = bytes(buf[_HEADER_SIZE : _HEADER_SIZE + length])
-            del self._buffer[: _HEADER_SIZE + length]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                raise self._fail("frame CRC mismatch")
+            read = read_frame(buf, 0, FRAME_MAGIC, self.max_payload)
+            if isinstance(read, str):
+                if read == BAD_MARKER:
+                    raise self._fail(f"bad frame marker {bytes(buf[:2])!r}")
+                if read == IMPLAUSIBLE_LENGTH:
+                    length = int.from_bytes(buf[2:6], "big")
+                    raise self._fail(f"implausible frame length {length}")
+                if read == CRC_MISMATCH:
+                    raise self._fail("frame CRC mismatch")
+                return messages  # torn: the rest of the frame is in flight
+            payload, end = read
+            del self._buffer[:end]
             try:
                 message = json.loads(payload)
             except ValueError:

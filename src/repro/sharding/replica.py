@@ -3,15 +3,12 @@
 A :class:`Replica` opens a shard's store directory **read-only** and tails
 its write-ahead journal — the same "WAL shipping" real systems do, except
 the filesystem is the ship.  Each :meth:`Replica.poll` re-scans the journal
-tail and applies new records to an in-memory state:
-
-* ``commit`` records apply their delta (digest-checked, like recovery);
-* ``prepare`` records stash their staged delta without applying it;
-* ``outcome`` records resolve a stashed prepare — apply on ``commit``,
-  discard on ``abort`` — so the replica never exposes an uncommitted
-  2PC write, even transiently;
-* a sequence gap (the primary checkpointed and truncated the journal under
-  us) falls back to reloading from the newest valid snapshot.
+and folds the new records into the
+:class:`~repro.storage.store.ReplayFold` that
+:meth:`~repro.storage.store.Store.recover` runs: commits apply, PREPAREs
+are stashed and resolved only at their OUTCOME (so an uncommitted 2PC write
+is never exposed, even transiently), and a journal the primary truncated
+past the replica's position re-bases it on the newest valid snapshot.
 
 The replica is therefore always a *prefix* of the primary's run — the
 freshness contract is bounded staleness, not recency.  :meth:`Replica.lag`
@@ -51,20 +48,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.db.state import State
 from repro.errors import ReplicaLagExceeded, ReproError, ShardError
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.journal import Journal, JournalRecord, read_journal
-from repro.storage.serialize import (
-    apply_delta,
-    delta_touched,
-    touched_digest,
-)
-from repro.storage.snapshot import load_snapshot, snapshot_seq
-from repro.storage.store import (
-    JOURNAL_NAME,
-    Store,
-    prepare_digest,
-    read_fence,
-    write_fence,
-)
+from repro.storage.journal import JournalScan, read_journal
+from repro.storage.snapshot import newest_snapshot, snapshot_files
+from repro.storage.store import JOURNAL_NAME, ReplayFold, Store
 from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram
 
@@ -125,13 +111,16 @@ class Replica:
         self.max_lag = max_lag
         self.interpreter = interpreter or Interpreter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.applied_seq = -1
-        self.state: Optional[State] = None
-        self._pending: dict[str, JournalRecord] = {}
-        #: Highest journal epoch replayed so far — epochs never regress, so
-        #: a deposed primary's zombie frame stops replay at a safe prefix.
-        self.journal_epoch = 1
-        self._load_snapshot()
+        try:
+            base = newest_snapshot(self.path)
+        except FileNotFoundError:
+            raise ShardError(f"no store directory at {self.path}") from None
+        if base is None:
+            raise ShardError(
+                f"replica found no valid snapshot under {self.path}"
+            )
+        self._fold = ReplayFold(base[1], base[0])
+        self._scan: Optional[JournalScan] = None
         self.poll()
 
     # -- plumbing ----------------------------------------------------------
@@ -140,126 +129,68 @@ class Replica:
     def journal_path(self) -> str:
         return os.path.join(self.path, JOURNAL_NAME)
 
-    def _snapshot_files(self) -> list[tuple[int, str]]:
-        try:
-            names = os.listdir(self.path)
-        except FileNotFoundError:
-            raise ShardError(f"no store directory at {self.path}") from None
-        found = []
-        for name in names:
-            seq = snapshot_seq(name)
-            if seq is not None:
-                found.append((seq, os.path.join(self.path, name)))
-        return sorted(found, reverse=True)
+    @property
+    def state(self) -> State:
+        return self._fold.state
 
-    def _load_snapshot(self) -> None:
-        """(Re)base on the newest valid snapshot; corrupt ones fall back."""
-        for seq, snap_path in self._snapshot_files():
-            loaded = load_snapshot(snap_path)
-            if loaded is not None:
-                self.applied_seq = loaded[0]
-                self.state = loaded[1]
-                self._pending.clear()
-                return
-        if self.state is None:
-            raise ShardError(
-                f"replica found no valid snapshot under {self.path}"
-            )
+    @property
+    def applied_seq(self) -> int:
+        return self._fold.seq
+
+    @property
+    def journal_epoch(self) -> int:
+        """Highest journal epoch replayed so far."""
+        return self._fold.epoch
 
     # -- following ---------------------------------------------------------
 
     def poll(self) -> int:
         """Scan the journal and apply everything new; returns the number of
-        records applied.  Safe to call from a timer at any frequency."""
+        records applied.  Safe to call from a timer at any frequency.  A
+        record the fold refuses stops replay before it, as in recovery."""
         self.metrics.counter(
             "repro_replica_polls_total", "replica journal scans"
         ).inc()
         scan = read_journal(self.journal_path)
         first = scan.records[0].seq if scan.records else None
-        if first is None or first > self.applied_seq + 1:
-            # The journal does not cover our position (the primary
-            # checkpointed and truncated it): re-base on the newest
-            # snapshot, then re-apply whatever tail remains.
-            snaps = self._snapshot_files()
-            if snaps and snaps[0][0] > self.applied_seq:
-                self._load_snapshot()
-        applied = 0
-        for record in scan.records:
-            if record.seq <= self.applied_seq:
-                continue
-            if record.seq != self.applied_seq + 1:
-                break  # torn tail or gap: keep the prefix, try again later
-            if not self._apply(record):
-                break
-            self.applied_seq = record.seq
-            applied += 1
+        if (first is None or first > self.applied_seq + 1) and self._ahead():
+            # The journal does not reach back to our position (the primary
+            # checkpointed and truncated it): re-base on the newer snapshot,
+            # then fold in whatever tail remains.
+            base = newest_snapshot(self.path)
+            if base is not None and base[0] > self.applied_seq:
+                self._fold = ReplayFold(base[1], base[0])
+        applied, _ = self._fold.replay(scan.records)
+        self._scan = scan
         if applied:
             self.metrics.counter(
                 "repro_replica_applied_total", "journal records applied"
-            ).inc(applied)
+            ).inc(len(applied))
         self.metrics.gauge(
             "repro_replica_lag_records",
             "journal records the replica trails the primary by",
         ).set(float(self.lag(_scan=scan)))
-        return applied
+        return len(applied)
 
-    def _apply(self, record: JournalRecord) -> bool:
-        """Apply one journal record; False stops replay at a safe prefix."""
-        record_epoch = record.epoch if record.epoch is not None else 1
-        if record_epoch < self.journal_epoch:
-            return False  # zombie append from a deposed epoch: never apply
-        self.journal_epoch = record_epoch
-        if record.kind == "commit":
-            candidate = apply_delta(self.state, record.delta)
-            touched = delta_touched(record.delta)
-            if touched_digest(candidate, touched) != record.post_digest:
-                return False
-            self.state = candidate
-            return True
-        if record.kind == "prepare":
-            if record.txid is None or prepare_digest(record.delta) != (
-                record.post_digest
-            ):
-                return False
-            self._pending[record.txid] = record
-            return True
-        if record.kind == "outcome":
-            prep = self._pending.pop(record.txid or "", None)
-            if prep is None:
-                return False
-            decision = record.delta.get("decision")
-            if decision == "commit":
-                candidate = apply_delta(self.state, prep.delta)
-            elif decision == "abort":
-                candidate = self.state
-            else:
-                return False
-            touched = delta_touched(prep.delta)
-            if touched_digest(candidate, touched) != record.post_digest:
-                return False
-            self.state = candidate
-            return True
-        return False  # unknown record kind: stop at this safe prefix
-
-    def lag(self, *, _scan=None) -> int:
+    def lag(self, *, _scan: Optional[JournalScan] = None) -> int:
         """How many durable journal records the replica has not applied."""
         scan = _scan if _scan is not None else read_journal(self.journal_path)
-        behind = sum(1 for r in scan.records if r.seq > self.applied_seq)
         if not scan.records:
             # Journal truncated past us entirely: the newest snapshot's
             # sequence bounds how far behind we are.
-            snaps = self._snapshot_files()
-            if snaps and snaps[0][0] > self.applied_seq:
-                behind = snaps[0][0] - self.applied_seq
-        return behind
+            return self._ahead()
+        return sum(1 for r in scan.records if r.seq > self.applied_seq)
+
+    def _ahead(self) -> int:
+        """How many commits the newest snapshot on disk is past us."""
+        newest = snapshot_files(self.path)
+        return max(0, newest[0][0] - self.applied_seq) if newest else 0
 
     def pending(self) -> tuple[str, ...]:
         """Txids of stashed PREPAREs still awaiting an outcome record, in
         journal order.  Non-empty means the primary (or its promotion) has
         an in-doubt window the replica is faithfully *not* serving."""
-        return tuple(
-            sorted(self._pending, key=lambda t: self._pending[t].seq)
-        )
+        return tuple(self._fold.pending)
 
     # -- serving -----------------------------------------------------------
 
@@ -279,13 +210,9 @@ class Replica:
         fully caught up *now*"."""
         self.poll()
         bound = self.max_lag if max_lag is None else max_lag
-        behind = self.lag()
+        behind = self.lag(_scan=self._scan)
         if behind > bound:
-            self.metrics.counter(
-                "repro_replica_queries_total",
-                "replica queries by outcome",
-                status="refused",
-            ).inc()
+            self._count_query("refused")
             raise ReplicaLagExceeded(
                 applied=self.applied_seq,
                 primary=self.applied_seq + behind,
@@ -301,18 +228,17 @@ class Replica:
         try:
             value = program.query(self.state, *args, interpreter=interpreter)
         except ReproError:
-            self.metrics.counter(
-                "repro_replica_queries_total",
-                "replica queries by outcome",
-                status="error",
-            ).inc()
+            self._count_query("error")
             raise
+        self._count_query("ok")
+        return value
+
+    def _count_query(self, status: str) -> None:
         self.metrics.counter(
             "repro_replica_queries_total",
             "replica queries by outcome",
-            status="ok",
+            status=status,
         ).inc()
-        return value
 
     # -- promotion ---------------------------------------------------------
 
@@ -331,45 +257,21 @@ class Replica:
         The handoff is logical-time, not a data copy — a replica that has
         replayed the journal prefix *is* the state machine.  Steps:
 
-        1. **Fence.**  Compute ``new_epoch`` = 1 + the highest epoch any
-           writer could hold (fence file or journal frame) and write it to
-           the fence file.  From this instant every append by the old
-           primary raises :class:`~repro.errors.Fenced`.
-        2. **Drain.**  Re-poll to the journal's durable end (anything the
-           old primary managed to append before the fence landed is part
-           of the run), then truncate the journal to exactly the applied
-           prefix — a torn tail or an unverifiable record is discarded,
-           the same contract as recovery.
-        3. **Resolve.**  Each stashed PREPARE is resolved by the in-doubt
-           rules (coordinator decision record → sibling applied outcome →
-           presumed abort); the decision is made durable *first* (when a
-           ``coordinator`` is given), then an OUTCOME record lands in the
-           new epoch, so a crash mid-promotion re-resolves identically.
+        1. **Fence** (:meth:`~repro.storage.store.Store.advance_fence`):
+           from here on every append by the old primary raises
+           :class:`~repro.errors.Fenced`.
+        2. **Drain.**  Re-poll to the journal's durable end, then truncate
+           the journal to the applied prefix, as recovery would stop.
+        3. **Resolve** each stashed PREPARE with
+           :func:`~repro.sharding.twopc.resolve_pending`, the resolver
+           :meth:`ShardedDatabase.recover` runs.
         4. **Re-seed.**  A checkpoint at the resolved head becomes the
            snapshot fresh replicas re-base from.
 
         Returns a :class:`Promotion` whose open ``store`` is the shard's
         new journal writer at the new epoch.
         """
-        from repro.sharding.twopc import resolve_in_doubt
-
-        # 1. Fence: depose every older writer before reading the final tail.
-        scan = read_journal(self.journal_path)
-        top = read_fence(self.path)
-        for record in scan.records:
-            top = max(top, record.epoch if record.epoch is not None else 1)
-        new_epoch = top + 1
-        write_fence(self.path, new_epoch)
-
-        # 2. Drain to the durable end, then truncate to the applied prefix.
-        self.poll()
-        scan = read_journal(self.journal_path)
-        keep = []
-        for record in scan.records:
-            if record.seq > self.applied_seq:
-                break
-            keep.append(record)
-        Journal(self.journal_path, sync=sync).replace_with(tuple(keep))
+        from repro.sharding.twopc import resolve_pending
 
         store = Store(
             self.path,
@@ -378,40 +280,28 @@ class Replica:
             keep_snapshots=keep_snapshots,
             metrics=self.metrics,
         )
-        assert store.epoch == new_epoch
+        # 1. Fence: depose every older writer before reading the final tail.
+        new_epoch = store.advance_fence()
 
-        # 3. Resolve every stashed prepare, durably, in stash (seq) order.
-        known = (
-            coordinator.decisions()
-            if coordinator is not None
-            else dict(decisions or {})
+        # 2. Drain to the durable end, then truncate to the applied prefix.
+        self.poll()
+        store.journal.replace_with(
+            tuple(r for r in self._scan.records if r.seq <= self.applied_seq)
         )
-        seen_applied = dict(applied or {})
-        resolutions: list[tuple[str, str, str]] = []
-        state = self.state
-        seq = self.applied_seq
-        for txid in sorted(
-            self._pending, key=lambda t: self._pending[t].seq
-        ):
-            prep = self._pending[txid]
-            decision, why = resolve_in_doubt(txid, known, seen_applied)
-            if coordinator is not None:
-                coordinator.decide(txid, decision)
-            if decision == "commit":
-                state = apply_delta(state, prep.delta)
-            seq += 1
-            store.log_outcome(state, prep, decision, seq=seq)
-            seen_applied[txid] = decision
-            resolutions.append((txid, decision, why))
-            self.metrics.counter(
-                "repro_shard_in_doubt_resolved_total",
-                "in-doubt 2PC transactions resolved during recovery",
-                decision=decision,
-            ).inc()
-        self._pending.clear()
-        self.state = state
-        self.applied_seq = seq
-        self.journal_epoch = new_epoch
+
+        # 3. Resolve every stashed prepare, durably, in journal order.
+        state, seq, resolutions = resolve_pending(
+            store,
+            self.state,
+            self.applied_seq,
+            self._fold.pending.values(),
+            applied=dict(applied or {}),
+            metrics=self.metrics,
+            coordinator=coordinator,
+            decisions=decisions,
+        )
+        self._fold = ReplayFold(state, seq)
+        self._fold.epoch = new_epoch
 
         # 4. First checkpoint of the new epoch: the snapshot fresh replicas
         # re-seed from (and the truncation that retires the old journal).

@@ -64,11 +64,11 @@ from repro.sharding.twopc import (
     Coordinator,
     SimulatedCrash,
     TwoPhaseFaults,
-    resolve_in_doubt,
+    applied_outcomes,
+    resolve_pending,
 )
 from repro.storage.journal import read_journal
 from repro.storage.serialize import (
-    apply_delta,
     delta_touched,
     state_delta,
     touched_digest,
@@ -333,7 +333,7 @@ class ShardedDatabase:
 
         Each shard recovers its own longest provable prefix
         (:meth:`repro.storage.Store.recover`); prepares without outcomes
-        are then resolved by :func:`repro.sharding.twopc.resolve_in_doubt`
+        are then settled by :func:`repro.sharding.twopc.resolve_pending`
         — coordinator decision record first, sibling-shard outcome second,
         presumed abort otherwise — and the resolution is made durable
         (decision record, then per-shard OUTCOME records) **before** the
@@ -371,38 +371,28 @@ class ShardedDatabase:
             store.advance_fence()
         recoveries = [store.recover() for store in stores]
 
-        # Evidence rule 2: an outcome some shard already applied proves the
-        # decision was durable even if the decision journal was lost.
-        applied: dict[str, str] = {}
-        for recovery in recoveries:
-            for record in recovery.replayed:
-                if record.kind == "outcome" and record.txid is not None:
-                    applied[record.txid] = record.delta.get("decision", "abort")
+        applied = applied_outcomes(
+            record for recovery in recoveries for record in recovery.replayed
+        )
 
         resolutions: list[Resolution] = []
         states: list[State] = []
         seqs: list[int] = []
         for i, recovery in enumerate(recoveries):
-            state, seq = recovery.state, recovery.seq
-            for prep in recovery.pending:
-                decision, why = resolve_in_doubt(
-                    prep.txid, coordinator.decisions(), applied
-                )
-                # Durable order mirrors the live path: decision first, then
-                # the shard outcome — a crash in between re-resolves the
-                # same way from the decision record.
-                coordinator.decide(prep.txid, decision, shards=(i,))
-                if decision == "commit":
-                    state = apply_delta(state, prep.delta)
-                seq += 1
-                stores[i].log_outcome(state, prep, decision, seq=seq)
-                applied[prep.txid] = decision
-                resolutions.append(Resolution(prep.txid, i, decision, why))
-                metrics.counter(
-                    "repro_shard_in_doubt_resolved_total",
-                    "in-doubt 2PC transactions resolved during recovery",
-                    decision=decision,
-                ).inc()
+            state, seq, settled = resolve_pending(
+                stores[i],
+                recovery.state,
+                recovery.seq,
+                recovery.pending,
+                coordinator=coordinator,
+                applied=applied,
+                metrics=metrics,
+                shards=(i,),
+            )
+            resolutions.extend(
+                Resolution(txid, i, decision, why)
+                for txid, decision, why in settled
+            )
             states.append(state)
             seqs.append(seq)
 
@@ -577,16 +567,12 @@ class ShardedDatabase:
     def _sibling_outcomes(self, exclude: int) -> dict[str, str]:
         """Evidence rule 2 for promotion: outcomes the *other* shards
         already applied are durable witnesses of the decision."""
-        applied: dict[str, str] = {}
-        for shard in self.shards:
-            if shard.index == exclude or shard.store is None:
-                continue
-            for record in read_journal(shard.store.journal_path).records:
-                if record.kind == "outcome" and record.txid is not None:
-                    applied[record.txid] = record.delta.get(
-                        "decision", "abort"
-                    )
-        return applied
+        return applied_outcomes(
+            record
+            for shard in self.shards
+            if shard.index != exclude and shard.store is not None
+            for record in read_journal(shard.store.journal_path).records
+        )
 
     def _retry_hint(self) -> float:
         if self._detector is not None:

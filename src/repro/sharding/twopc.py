@@ -34,11 +34,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.db.state import State
 from repro.errors import ReproError, ShardError
 from repro.storage.journal import Journal, JournalRecord, read_journal
-from repro.storage.store import prepare_digest
+from repro.storage.serialize import apply_delta
+from repro.storage.store import Store, prepare_digest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.metrics import MetricsRegistry
 
 DECISIONS_NAME = "decisions.log"
 EPOCH_NAME = "epoch"
@@ -257,3 +262,54 @@ def resolve_in_doubt(
     if applied is not None:
         return applied, "applied outcome on a sibling shard"
     return "abort", "presumed abort (no durable decision)"
+
+
+def applied_outcomes(records: Iterable[JournalRecord]) -> dict[str, str]:
+    """Evidence rule 2: the decision each OUTCOME in ``records`` applied.
+    An outcome some shard already applied proves the decision was durable,
+    even if the decision journal was later lost."""
+    return {
+        record.txid: record.delta.get("decision", "abort")
+        for record in records
+        if record.kind == "outcome" and record.txid is not None
+    }
+
+
+def resolve_pending(
+    store: Store,
+    state: State,
+    seq: int,
+    pending: Iterable[JournalRecord],
+    *,
+    applied: dict[str, str],
+    metrics: "MetricsRegistry",
+    coordinator: Optional[Coordinator] = None,
+    decisions: Optional[dict[str, str]] = None,
+    shards: tuple[int, ...] = (),
+) -> tuple[State, int, list[tuple[str, str, str]]]:
+    """Settle one shard's in-doubt prepares in journal order — the resolver
+    :meth:`ShardedDatabase.recover` and
+    :meth:`~repro.sharding.replica.Replica.promote` share.  Per prepare:
+    :func:`resolve_in_doubt`, the decision made durable *first* (so a crash
+    re-resolves identically), the delta applied on ``commit``, an OUTCOME
+    logged at the next ``seq``.  Returns the resolved head and one
+    ``(txid, decision, why)`` each; ``applied`` gains every settled txid.
+    """
+    known = coordinator.decisions() if coordinator is not None else decisions
+    resolutions: list[tuple[str, str, str]] = []
+    for prep in pending:
+        decision, why = resolve_in_doubt(prep.txid, known or {}, applied)
+        if coordinator is not None:
+            coordinator.decide(prep.txid, decision, shards=shards)
+        if decision == "commit":
+            state = apply_delta(state, prep.delta)
+        seq += 1
+        store.log_outcome(state, prep, decision, seq=seq)
+        applied[prep.txid] = decision
+        resolutions.append((prep.txid, decision, why))
+        metrics.counter(
+            "repro_shard_in_doubt_resolved_total",
+            "in-doubt 2PC transactions resolved during recovery",
+            decision=decision,
+        ).inc()
+    return state, seq, resolutions

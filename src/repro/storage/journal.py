@@ -3,12 +3,10 @@
 File layout::
 
     REPROWAL1\\n                          10-byte file header
-    frame*                               zero or more frames
+    frame*                               zero or more frames, marker b"RJ"
 
-    frame := b"RJ"                       2-byte frame marker
-           | length  (uint32, big-endian)
-           | crc32   (uint32, big-endian, over payload)
-           | payload (canonical JSON, `length` bytes)
+The frame is :func:`repro.storage.serialize.frame` (layout in its
+docstring); the payload is one :class:`JournalRecord` as canonical JSON.
 
 Append is the only write operation; a record is durable once its frame is on
 disk (``sync="commit"`` fsyncs every append, ``sync="os"`` leaves flushing
@@ -25,21 +23,18 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import time
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError
-from repro.storage.serialize import canonical_bytes
+from repro.storage.serialize import canonical_bytes, frame, read_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
 
 FILE_MAGIC = b"REPROWAL1\n"
 FRAME_MAGIC = b"RJ"
-_HEADER_SIZE = 2 + 4 + 4  # marker + length + crc32
 _MAX_PAYLOAD = 1 << 28  # 256 MiB: anything larger is corruption, not data
 
 
@@ -107,6 +102,8 @@ class JournalRecord:
 
     @staticmethod
     def from_doc(doc: dict) -> "JournalRecord":
+        if not isinstance(doc["delta"], dict):
+            raise TypeError("record delta is not an object")
         return JournalRecord(
             seq=int(doc["seq"]),
             label=doc["label"],
@@ -122,13 +119,7 @@ class JournalRecord:
 
 
 def encode_frame(record: JournalRecord) -> bytes:
-    payload = canonical_bytes(record.to_doc())
-    return (
-        FRAME_MAGIC
-        + struct.pack(">I", len(payload))
-        + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
-    )
+    return frame(FRAME_MAGIC, canonical_bytes(record.to_doc()))
 
 
 @dataclass(frozen=True)
@@ -170,31 +161,19 @@ def scan_journal(data: bytes) -> JournalScan:
             tuple(records), clean, boundaries[-1], reason, tuple(boundaries)
         )
 
-    while True:
-        remaining = len(data) - offset
-        if remaining == 0:
-            return stop(True, "end of journal")
-        if remaining < _HEADER_SIZE:
-            return stop(False, f"torn frame header at offset {offset}")
-        if data[offset : offset + 2] != FRAME_MAGIC:
-            return stop(False, f"bad frame marker at offset {offset}")
-        (length,) = struct.unpack_from(">I", data, offset + 2)
-        (crc,) = struct.unpack_from(">I", data, offset + 6)
-        if length > _MAX_PAYLOAD:
-            return stop(False, f"implausible frame length at offset {offset}")
-        start = offset + _HEADER_SIZE
-        if len(data) - start < length:
-            return stop(False, f"torn payload at offset {offset}")
-        payload = data[start : start + length]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            return stop(False, f"CRC mismatch at offset {offset}")
+    while offset < len(data):
+        read = read_frame(data, offset, FRAME_MAGIC, _MAX_PAYLOAD)
+        if isinstance(read, str):
+            return stop(False, f"{read} at offset {offset}")
+        payload, end = read
         try:
             record = JournalRecord.from_doc(json.loads(payload))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, OverflowError):
             return stop(False, f"undecodable payload at offset {offset}")
         records.append(record)
-        offset = start + length
+        offset = end
         boundaries.append(offset)
+    return stop(True, "end of journal")
 
 
 def read_journal(path: str | os.PathLike) -> JournalScan:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+import zlib
 from typing import Iterable
 
 from repro.db.relation import Relation, empty_relation
@@ -44,6 +46,73 @@ def canonical_bytes(doc: object) -> bytes:
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# the CRC frame
+# ---------------------------------------------------------------------------
+
+_FRAME_HEADER = struct.Struct(">II")  # length, crc32
+
+#: The reasons :func:`read_frame` stops.  The two ``TORN_*`` ones mean the
+#: bytes end inside the frame (a torn write, or a stream still arriving).
+TORN_HEADER = "torn frame header"
+TORN_PAYLOAD = "torn payload"
+BAD_MARKER = "bad frame marker"
+IMPLAUSIBLE_LENGTH = "implausible frame length"
+CRC_MISMATCH = "CRC mismatch"
+
+
+def frame(marker: bytes, payload: bytes) -> bytes:
+    """``payload`` as one CRC frame — the only framing on disk or wire::
+
+        frame := marker                    caller-chosen bytes: b"RJ" (journal
+                                           record), b"RT" (wire message), or
+                                           the 10-byte snapshot file magic
+               | length  (uint32, big-endian)
+               | crc32   (uint32, big-endian, over payload)
+               | payload (canonical JSON, `length` bytes)
+
+    :func:`read_frame` is the only reader.  A torn tail, a flipped bit or
+    a foreign byte stream can shorten what a reader accepts, never change
+    it: the CRC covers every payload byte.
+    """
+    return (
+        marker
+        + _FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+        + payload
+    )
+
+
+def read_frame(
+    buf: bytes | bytearray, offset: int, marker: bytes, max_payload: int
+) -> tuple[bytes | bytearray, int] | str:
+    """The frame at ``buf[offset:]``: ``(payload, end)`` when it is whole
+    and its CRC matches, else the stop reason (one of the constants above).
+
+    >>> data = frame(b"RJ", b"{}")
+    >>> read_frame(data, 0, b"RJ", 1 << 10)
+    (b'{}', 12)
+    >>> read_frame(data[:-1], 0, b"RJ", 1 << 10)
+    'torn payload'
+    >>> read_frame(data, 0, b"RT", 1 << 10)
+    'bad frame marker'
+    """
+    start = offset + len(marker) + _FRAME_HEADER.size
+    if len(buf) < start:
+        return TORN_HEADER
+    if buf[offset : offset + len(marker)] != marker:
+        return BAD_MARKER
+    length, crc = _FRAME_HEADER.unpack_from(buf, offset + len(marker))
+    if length > max_payload:
+        return IMPLAUSIBLE_LENGTH
+    end = start + length
+    if len(buf) < end:
+        return TORN_PAYLOAD
+    payload = buf[start:end]
+    if zlib.crc32(payload) != crc:
+        return CRC_MISMATCH
+    return payload, end
 
 
 def _rows(rel: Relation) -> list[list]:

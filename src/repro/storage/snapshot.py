@@ -1,12 +1,9 @@
 """Checkpointed snapshots: one atomic file per checkpoint.
 
 A snapshot is the full canonical serialization of a state together with the
-commit sequence number it reflects::
-
-    REPROCKP1\\n                          10-byte file header
-    length  (uint32, big-endian)
-    crc32   (uint32, big-endian, over payload)
-    payload (canonical JSON: {"seq", "digest", "state"})
+commit sequence number it reflects: the whole file is one
+:func:`repro.storage.serialize.frame` whose marker is the 10-byte file magic
+``REPROCKP1\\n`` and whose payload is ``{"seq", "digest", "state"}``.
 
 Writes are atomic — temp file in the same directory, flush, fsync, rename,
 directory fsync — so a crash mid-checkpoint leaves the previous snapshot
@@ -20,8 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from typing import Optional
 
 from repro.db.state import State
@@ -29,6 +24,8 @@ from repro.storage.journal import _fsync_dir
 from repro.storage.serialize import (
     canonical_bytes,
     doc_to_state,
+    frame,
+    read_frame,
     state_digest,
     state_to_doc,
     SerializationError,
@@ -59,12 +56,7 @@ def write_snapshot(path: str | os.PathLike, seq: int, state: State) -> str:
     payload = canonical_bytes(
         {"seq": seq, "digest": digest, "state": state_to_doc(state)}
     )
-    blob = (
-        SNAP_MAGIC
-        + struct.pack(">I", len(payload))
-        + struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
-    )
+    blob = frame(SNAP_MAGIC, payload)
     directory = os.path.dirname(path) or "."
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -83,16 +75,10 @@ def load_snapshot(path: str | os.PathLike) -> Optional[tuple[int, State]]:
             data = fh.read()
     except OSError:
         return None
-    header_size = len(SNAP_MAGIC) + 8
-    if len(data) < header_size or data[: len(SNAP_MAGIC)] != SNAP_MAGIC:
+    read = read_frame(data, 0, SNAP_MAGIC, len(data))
+    if isinstance(read, str) or read[1] != len(data):
         return None
-    (length,) = struct.unpack_from(">I", data, len(SNAP_MAGIC))
-    (crc,) = struct.unpack_from(">I", data, len(SNAP_MAGIC) + 4)
-    payload = data[header_size : header_size + length]
-    if len(payload) != length or len(data) != header_size + length:
-        return None
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        return None
+    payload = read[0]
     try:
         doc = json.loads(payload)
         state = doc_to_state(doc["state"])
@@ -103,3 +89,23 @@ def load_snapshot(path: str | os.PathLike) -> Optional[tuple[int, State]]:
     if state_digest(state) != recorded:
         return None
     return seq, state
+
+
+def snapshot_files(directory: str | os.PathLike) -> list[tuple[int, str]]:
+    """(seq, path) of every snapshot in ``directory``, newest first."""
+    names = os.listdir(directory)
+    found = [(snapshot_seq(n), os.path.join(directory, n)) for n in names]
+    return sorted((f for f in found if f[0] is not None), reverse=True)
+
+
+def newest_snapshot(
+    directory: str | os.PathLike,
+) -> Optional[tuple[int, State, int]]:
+    """``(seq, state, skipped)`` of the newest *valid* snapshot in
+    ``directory`` — ``skipped`` newer ones were corrupt — or ``None`` when
+    none is valid.  The base every replay of the run starts from."""
+    for skipped, (_, path) in enumerate(snapshot_files(directory)):
+        loaded = load_snapshot(path)
+        if loaded is not None:
+            return loaded[0], loaded[1], skipped
+    return None

@@ -26,19 +26,14 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
 
 from repro.db.state import State
 from repro.errors import Fenced, ReproError
-from repro.storage.journal import (
-    Journal,
-    JournalRecord,
-    JournalScan,
-    read_journal,
-)
+from repro.storage.journal import Journal, JournalRecord, read_journal
 from repro.storage.serialize import (
     SerializationError,
     apply_delta,
@@ -49,9 +44,9 @@ from repro.storage.serialize import (
     touched_digest,
 )
 from repro.storage.snapshot import (
-    load_snapshot,
+    newest_snapshot,
     snapshot_filename,
-    snapshot_seq,
+    snapshot_files,
     write_snapshot,
 )
 
@@ -98,6 +93,104 @@ def prepare_digest(delta: dict) -> str:
     return hashlib.sha256(canonical_bytes({"prepare": delta})).hexdigest()
 
 
+class ReplayFold:
+    """The run re-derived one journal record at a time — the one reading of
+    the journal that :meth:`Store.recover` and
+    :class:`~repro.sharding.replica.Replica` share, so a replica that has
+    replayed a journal holds exactly the state recovery derives from it.
+
+    ``state`` is the run's state after commit ``seq``.  ``pending`` holds
+    the PREPAREs (by txid, in journal order) whose OUTCOME has not been
+    folded in: their deltas are **not** in ``state``.  ``epoch`` is the
+    highest journal epoch folded in (1 for pre-failover journals); epochs
+    never regress, since a smaller one is a deposed primary's zombie.
+    """
+
+    def __init__(self, state: State, seq: int) -> None:
+        self.state = state
+        self.seq = seq
+        self.epoch = 1
+        self.pending: dict[str, JournalRecord] = {}
+
+    def step(self, record: JournalRecord) -> Optional[str]:
+        """Fold in the record after ``seq``: ``None`` when it was applied,
+        else why replay must stop before it (nothing is changed then)."""
+        if record.seq != self.seq + 1:
+            return (
+                f"sequence gap: journal resumes at {record.seq} "
+                f"but recovery reached {self.seq}"
+            )
+        record_epoch = record.epoch if record.epoch is not None else 1
+        if record_epoch < self.epoch:
+            # A frame from a deposed epoch after a newer one: a zombie
+            # primary's append that raced the fence.  Never replay it.
+            return (
+                f"record {record.seq} carries deposed epoch "
+                f"{record_epoch} after epoch {self.epoch} (fenced "
+                f"zombie append)"
+            )
+        state = self.state
+        if record.kind == "prepare":
+            # A staged 2PC delta: verify its integrity, remember it, but
+            # do not apply — its fate is the matching outcome's.
+            if record.txid is None or record.txid in self.pending:
+                return (
+                    f"record {record.seq} prepare with "
+                    f"{'duplicate' if record.txid else 'missing'} txid"
+                )
+            if prepare_digest(record.delta) != record.post_digest:
+                return f"record {record.seq} prepare digest mismatch"
+            self.pending[record.txid] = record
+        elif record.kind in ("commit", "outcome"):
+            delta, decision, what = record.delta, "commit", "delta"
+            if record.kind == "outcome":
+                prep = self.pending.get(record.txid or "")
+                if prep is None:
+                    return (
+                        f"record {record.seq} outcome without a pending "
+                        f"prepare for txid {record.txid!r}"
+                    )
+                delta, what = prep.delta, "prepared delta"
+                decision = record.delta.get("decision")
+                if decision not in ("commit", "abort"):
+                    return (
+                        f"record {record.seq} outcome with unknown "
+                        f"decision {decision!r}"
+                    )
+            if decision == "commit":
+                try:
+                    state = apply_delta(state, delta)
+                except SerializationError as err:
+                    return f"record {record.seq} {what} unreplayable: {err}"
+            digest = touched_digest(state, delta_touched(delta))
+            if digest != record.post_digest:
+                return f"record {record.seq} post-state digest mismatch"
+            if record.kind == "outcome":
+                del self.pending[record.txid]
+        else:
+            return f"record {record.seq} has unknown kind {record.kind!r}"
+        self.state = state
+        self.seq = record.seq
+        self.epoch = record_epoch
+        return None
+
+    def replay(
+        self, records: Iterable[JournalRecord]
+    ) -> tuple[list[JournalRecord], Optional[str]]:
+        """Fold in every record past ``seq`` (those at or below it are
+        already in the state — a snapshot covers them); returns the records
+        applied and the stop reason, ``None`` when all of them applied."""
+        applied: list[JournalRecord] = []
+        for record in records:
+            if record.seq <= self.seq:
+                continue
+            reason = self.step(record)
+            if reason is not None:
+                return applied, reason
+            applied.append(record)
+        return applied, None
+
+
 @dataclass(frozen=True)
 class Recovery:
     """What :meth:`Store.recover` re-derived from disk.
@@ -108,18 +201,10 @@ class Recovery:
     the journal ended at a frame boundary with no sequence gap or digest
     mismatch; otherwise ``reason`` says where and why replay stopped.
 
-    ``pending`` holds PREPARE records whose OUTCOME never reached this
-    journal — in-doubt two-phase-commit participations.  Their deltas are
-    **not** applied to ``state``; the sharding layer's ``recover()``
-    resolves each against the coordinator's decision journal (see
-    :mod:`repro.sharding.twopc`).  For a non-sharded store it is always
-    empty.
-
-    ``epoch`` is the highest journal epoch replay saw (1 for journals
-    written before the failover layer).  Replay enforces that epochs never
-    regress: a frame carrying a smaller epoch than one already replayed is
-    a deposed primary's zombie append, and recovery stops at the safe
-    prefix before it.
+    ``pending`` (in-doubt PREPAREs, their deltas not applied) and
+    ``epoch`` are the :class:`ReplayFold`'s at the stop point; the sharding
+    layer's ``recover()`` resolves each pending prepare (see
+    :mod:`repro.sharding.twopc`).
     """
 
     state: State
@@ -194,12 +279,7 @@ class Store:
 
     def snapshot_files(self) -> list[tuple[int, str]]:
         """(seq, path) of every snapshot on disk, newest first."""
-        found: list[tuple[int, str]] = []
-        for name in os.listdir(self.path):
-            seq = snapshot_seq(name)
-            if seq is not None:
-                found.append((seq, os.path.join(self.path, name)))
-        return sorted(found, reverse=True)
+        return snapshot_files(self.path)
 
     def is_fresh(self) -> bool:
         """True when nothing has ever been persisted here."""
@@ -231,16 +311,17 @@ class Store:
     def advance_fence(self) -> int:
         """Bump the fence past every epoch any earlier writer could hold
         and adopt the new epoch ourselves.  Used by recovery and promotion
-        so a zombie of the pre-crash process cannot append."""
-        new_epoch = read_fence(self.path) + 1
+        so a zombie of the pre-crash process cannot append.  A writer's
+        epoch is never below one its journal carries (a shipped copy may
+        lack the fence file): replay would refuse its commits as a zombie's.
+        """
+        records = read_journal(self.journal_path).records
+        new_epoch = max(
+            [read_fence(self.path)] + [r.epoch or 1 for r in records]
+        ) + 1
         write_fence(self.path, new_epoch)
         self.epoch = new_epoch
         return new_epoch
-
-    def _stamp(self) -> Optional[int]:
-        """The epoch to stamp into a frame (``None`` keeps pre-failover
-        journals byte-compatible while the store is on implicit epoch 1)."""
-        return self.epoch if self.epoch > 1 else None
 
     # -- writing -----------------------------------------------------------
 
@@ -268,7 +349,7 @@ class Store:
         """
         self.check_fence()
         delta = state_delta(before, after)
-        record = JournalRecord(
+        record = self._append(
             seq=seq,
             label=label,
             program=program,
@@ -276,9 +357,7 @@ class Store:
             snapshot_version=snapshot_version,
             delta=delta,
             post_digest=touched_digest(after, delta_touched(delta)),
-            epoch=self._stamp(),
         )
-        self.journal.append(record)
         if seq % self.checkpoint_every == 0:
             self.checkpoint(after, seq)
         return record
@@ -305,7 +384,7 @@ class Store:
         """
         self.check_fence()
         delta = state_delta(before, staged)
-        record = JournalRecord(
+        return self._append(
             seq=seq,
             label=label,
             program=program,
@@ -315,10 +394,7 @@ class Store:
             post_digest=prepare_digest(delta),
             kind="prepare",
             txid=txid,
-            epoch=self._stamp(),
         )
-        self.journal.append(record)
-        return record
 
     def log_outcome(
         self,
@@ -339,7 +415,7 @@ class Store:
         if decision not in ("commit", "abort"):
             raise ReproError(f"unknown 2PC decision {decision!r}")
         self.check_fence()
-        record = JournalRecord(
+        return self._append(
             seq=seq,
             label=prepare.label,
             program=prepare.program,
@@ -349,7 +425,14 @@ class Store:
             post_digest=touched_digest(state, delta_touched(prepare.delta)),
             kind="outcome",
             txid=prepare.txid,
-            epoch=self._stamp(),
+        )
+
+    def _append(self, **fields) -> JournalRecord:
+        """Journal one record stamped with this writer's epoch (the stamp
+        is omitted on implicit epoch 1, so pre-failover journals stay
+        byte-compatible).  Callers check the fence first."""
+        record = JournalRecord(
+            epoch=self.epoch if self.epoch > 1 else None, **fields
         )
         self.journal.append(record)
         return record
@@ -404,140 +487,26 @@ class Store:
         cleanly at the first torn/corrupt frame, sequence gap, or post-state
         digest mismatch.
         """
-        base: Optional[tuple[int, State]] = None
-        skipped_snapshots = 0
-        for seq, path in self.snapshot_files():
-            loaded = load_snapshot(path)
-            if loaded is not None:
-                base = loaded
-                break
-            skipped_snapshots += 1
+        base = newest_snapshot(self.path)
         if base is None:
             raise ReproError(
                 f"store {self.path} has no valid snapshot — not initialized, "
                 f"or every checkpoint is corrupt"
             )
-        snapshot_at, state = base
-        scan: JournalScan = read_journal(self.journal_path)
-        clean = scan.clean
+        snapshot_at, state, skipped = base
+        scan = read_journal(self.journal_path)
+        fold = ReplayFold(state, snapshot_at)
+        replayed, stopped = fold.replay(scan.records)
         reason = scan.reason
-        if skipped_snapshots:
-            clean = False
-            reason = (
-                f"{skipped_snapshots} corrupt snapshot(s) skipped; {reason}"
-            )
-        seq = snapshot_at
-        replayed: list[JournalRecord] = []
-        pending: dict[str, JournalRecord] = {}
-        max_epoch = 1
-        for record in scan.records:
-            if record.seq <= seq:
-                continue  # already inside the snapshot (checkpoint crash)
-            if record.seq != seq + 1:
-                clean = False
-                reason = (
-                    f"sequence gap: journal resumes at {record.seq} "
-                    f"but recovery reached {seq}"
-                )
-                break
-            record_epoch = record.epoch if record.epoch is not None else 1
-            if record_epoch < max_epoch:
-                # A frame from a deposed epoch after a newer one: a zombie
-                # primary's append that raced the fence.  Never replay it.
-                clean = False
-                reason = (
-                    f"record {record.seq} carries deposed epoch "
-                    f"{record_epoch} after epoch {max_epoch} (fenced "
-                    f"zombie append)"
-                )
-                break
-            max_epoch = record_epoch
-            if record.kind == "prepare":
-                # A staged 2PC delta: verify its integrity, remember it,
-                # but do not apply — its fate is the matching outcome's.
-                if record.txid is None or record.txid in pending:
-                    clean = False
-                    reason = (
-                        f"record {record.seq} prepare with "
-                        f"{'duplicate' if record.txid else 'missing'} txid"
-                    )
-                    break
-                if prepare_digest(record.delta) != record.post_digest:
-                    clean = False
-                    reason = f"record {record.seq} prepare digest mismatch"
-                    break
-                pending[record.txid] = record
-                seq = record.seq
-                replayed.append(record)
-                continue
-            if record.kind == "outcome":
-                prep = pending.pop(record.txid or "", None)
-                if prep is None:
-                    clean = False
-                    reason = (
-                        f"record {record.seq} outcome without a pending "
-                        f"prepare for txid {record.txid!r}"
-                    )
-                    break
-                decision = record.delta.get("decision")
-                if decision == "commit":
-                    try:
-                        candidate = apply_delta(state, prep.delta)
-                    except SerializationError as err:
-                        clean = False
-                        reason = (
-                            f"record {record.seq} prepared delta "
-                            f"unreplayable: {err}"
-                        )
-                        break
-                elif decision == "abort":
-                    candidate = state
-                else:
-                    clean = False
-                    reason = (
-                        f"record {record.seq} outcome with unknown "
-                        f"decision {decision!r}"
-                    )
-                    break
-                if (
-                    touched_digest(candidate, delta_touched(prep.delta))
-                    != record.post_digest
-                ):
-                    clean = False
-                    reason = f"record {record.seq} post-state digest mismatch"
-                    break
-                state = candidate
-                seq = record.seq
-                replayed.append(record)
-                continue
-            if record.kind != "commit":
-                clean = False
-                reason = f"record {record.seq} has unknown kind {record.kind!r}"
-                break
-            try:
-                candidate = apply_delta(state, record.delta)
-            except SerializationError as err:
-                clean = False
-                reason = f"record {record.seq} delta unreplayable: {err}"
-                break
-            if (
-                touched_digest(candidate, delta_touched(record.delta))
-                != record.post_digest
-            ):
-                clean = False
-                reason = f"record {record.seq} post-state digest mismatch"
-                break
-            state = candidate
-            seq = record.seq
-            replayed.append(record)
-        in_doubt = tuple(sorted(pending.values(), key=lambda r: r.seq))
+        if skipped:
+            reason = f"{skipped} corrupt snapshot(s) skipped; {reason}"
         return Recovery(
-            state=state,
-            seq=seq,
+            state=fold.state,
+            seq=fold.seq,
             snapshot_seq=snapshot_at,
             replayed=tuple(replayed),
-            clean=clean,
-            reason=reason,
-            pending=in_doubt,
-            epoch=max_epoch,
+            clean=scan.clean and not skipped and stopped is None,
+            reason=stopped or reason,
+            pending=tuple(fold.pending.values()),
+            epoch=fold.epoch,
         )

@@ -325,26 +325,7 @@ def run_shard_soak(
         for k in pair_keys:
             if (k in present[f"R{i}"]) != (k in present["R0"]):
                 report.atomicity_violations += 1
-    # Per-shard journal replay equals the live shard state.  The allocator
-    # is normalized out of the comparison: recovery deliberately re-bases
-    # each shard's ``next_tid`` to a fresh block without journaling the
-    # jump, so relation contents and ownership are the invariant, not the
-    # allocator position.
-    def _content_digest(state) -> str:
-        return state_digest(State(state.relations, state.owner, 0))
-
-    live_digests = {
-        i: _content_digest(sdb.shards[i].db.current) for i in range(shards)
-    }
-    sdb.close()
-    matches = True
-    for i in range(shards):
-        recovery = Store(os.path.join(path, f"shard-{i}")).recover()
-        if recovery.pending or not recovery.clean:
-            matches = False
-        if _content_digest(recovery.state) != live_digests[i]:
-            matches = False
-    report.journals_match_live = matches
+    report.journals_match_live = _journals_match_live(sdb, path)
     return report
 
 
@@ -567,22 +548,30 @@ def run_failover_soak(
             if (k in present[f"R{i}"]) != (k in present["R0"]):
                 report.atomicity_violations += 1
 
-    def _content_digest(state) -> str:
+    report.journals_match_live = _journals_match_live(sdb, path)
+    return report
+
+
+def _journals_match_live(sdb: ShardedDatabase, path: str) -> bool:
+    """Close ``sdb`` and check that every shard's journal recovers, clean
+    and with nothing in doubt, to that shard's live state.  The allocator
+    is normalized out of the comparison: recovery deliberately re-bases
+    each shard's ``next_tid`` to a fresh block without journaling the
+    jump, so relation contents and ownership are the invariant, not the
+    allocator position."""
+
+    def content(state: State) -> str:
         return state_digest(State(state.relations, state.owner, 0))
 
-    live_digests = {
-        i: _content_digest(sdb.shards[i].db.current) for i in range(shards)
-    }
+    live = [content(shard.db.current) for shard in sdb.shards]
     sdb.close()
-    matches = True
-    for i in range(shards):
+    for i, digest in enumerate(live):
         recovery = Store(os.path.join(path, f"shard-{i}")).recover()
         if recovery.pending or not recovery.clean:
-            matches = False
-        if _content_digest(recovery.state) != live_digests[i]:
-            matches = False
-    report.journals_match_live = matches
-    return report
+            return False
+        if content(recovery.state) != digest:
+            return False
+    return True
 
 
 def _deferred_total(sdb: ShardedDatabase) -> int:
