@@ -41,6 +41,16 @@ relation of every window state as read; whatever could raise goes back.
 A state term ``w;delete(v, R)`` the compiler regressed away runs only where
 the delete axioms describe the interpreter (``_window_holds``); a prefix
 with no tuple variable joins nothing and reads what its residuals read.
+
+A commit shifts the window by one state, so a window plan remembers the
+last window it held over (:meth:`QueryPlanner.held`).  When the model is a
+chain whose leading states are a contiguous run of that window, an
+assignment binding only those states joins just the rows with a *fresh*
+candidate — one whose ``(tid, values)`` the held window lacked — and a
+static constraint runs at the new head only; any other assignment, and any
+other model, runs in full.  Exact, errors included: those rows were all
+evaluated over the held window, at the same states, and none raised or
+violated.  The checks above still run over the whole window.
 """
 
 from __future__ import annotations
@@ -719,6 +729,24 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
         if len(planner.values_of(relation)) != len(relation) or any(stale):
             raise Unplannable(f"{label}: the delete axioms do not describe this state")
     stages = window_stages(q)
+    # The last window this plan held over, and how much of it leads this one.
+    held = planner.held(q)
+    last = held[0]
+    chain = _is_chain(model.graph, states)
+    covered = _covered(last, states) if chain else 0
+    if covered:
+        planner._count("repro_planner_window_total", "window_shift", mode="shift")
+        # Candidate indices per arity: ``fresh`` ones the held window did
+        # not have (by identifier and value), ``old`` ones it did.
+        fresh, old = {}, {}
+        for arity, domain in domains.items():
+            known, split = last[2][arity], ([], [])
+            for i, c in enumerate(domain):
+                split[(c.tid, c.values) in known].append(i)
+            fresh[arity], old[arity] = split
+        covered_ids = {id(state) for state in states[:covered]}
+    else:
+        planner._count("repro_planner_window_total", "window_full", mode="full")
     holds = True
     for bound in _assignments(model, states, q.terms):
         versions = {
@@ -726,25 +754,80 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
             for p in members
         }
         ctx = Ctx(interp, bound, versions)
+        if covered and all(id(state) in covered_ids for state in bound):
+            # An assignment the held window covered: only rows with a
+            # candidate it did not have can raise or violate.
+            rows = _fresh_rows(ctx, q, stages, derefs, fresh, old)
+        else:
+            rows = _window_rows(ctx, q, stages, derefs)
         # Every row is tested, found violations or not: a residual can
         # raise, and the walk may meet that row before its first violation.
-        for row in _window_rows(ctx, q, stages, derefs):
+        for row in rows:
             if all(_holds(ctx, row, p) for p in q.residuals) and not all(
                 _holds(ctx, row, p) for p in q.conclusion
             ):
                 holds = False
+    if holds and chain:
+        keys = {a: {(c.tid, c.values) for c in domain} for a, domain in domains.items()}
+        held[0] = (states, model.max_transition_length, keys)
+    else:
+        held[0] = None
     return holds
 
 
-def _window_rows(ctx: Ctx, q: WindowQuery, stages, derefs) -> list:
+def _is_chain(graph, states) -> bool:
+    """Is the model one chain of distinct states, in the order listed?  A
+    no-op commit (a self-loop) or any branching is not."""
+    return graph.edge_count() == len(states) - 1 and all(
+        graph.successors(state) == [after] for state, after in zip(states, states[1:])
+    )
+
+
+def _covered(held, states) -> int:
+    """How many leading states of the chain ``states`` the chain a plan last
+    ``held`` over covered: ``k`` when ``states[:k]`` is a contiguous run of
+    it (compared by identity) along which its model enumerated every
+    transition, else ``0``."""
+    if held is None:
+        return 0
+    before, hops, _ = held
+    start = next((i for i, state in enumerate(before) if state is states[0]), None)
+    if start is None:
+        return 0
+    k = 1
+    while k < len(states) and start + k < len(before) and states[k] is before[start + k]:
+        k += 1
+    # ``transitions_from`` always yields the single arcs.
+    return k if hops is None else min(k, max(hops, 1) + 1)
+
+
+def _fresh_rows(ctx: Ctx, q: WindowQuery, stages, derefs, fresh, old) -> list:
+    """The rows of a covered assignment with at least one fresh candidate,
+    each once: by the first tuple variable it binds to one — the variables
+    before it restricted to the ``old`` candidates, it to the ``fresh``,
+    those after it unrestricted.  No fresh candidate, no row; a plan
+    without tuple variables has none to bind."""
+    arities = [group[0].var.sort.arity for group in q.groups]
+    rows = []
+    for i, arity in enumerate(arities):
+        if fresh[arity]:
+            picks = [old[a] for a in arities[:i]] + [fresh[arity]]
+            rows += _window_rows(ctx, q, stages, derefs, picks)
+    return rows
+
+
+def _window_rows(ctx: Ctx, q: WindowQuery, stages, derefs, picks=()) -> list:
     """The rows of one state assignment that pass the premise's memberships
     and pure predicates.  Per tuple variable: scan its candidates (one per
     slot from ``derefs``, local predicates pushed down), key the survivors
-    on the equi columns, probe with the rows joined so far."""
+    on the equi columns, probe with the rows joined so far.  ``picks``
+    restricts the first variables to the candidates at the listed indices."""
     width = sum(len(group) for group in q.groups)
     rows = [[None] * width]
-    for group, (local, keys, residual) in zip(q.groups, stages):
+    for g, (group, (local, keys, residual)) in enumerate(zip(q.groups, stages)):
         columns = [derefs[ctx.state[s.term], s.var.sort.arity] for s in group]
+        if g < len(picks):
+            columns = [[column[i] for i in picks[g]] for column in columns]
         table: dict = {}
         scratch = [None] * width
         for found in zip(*columns):

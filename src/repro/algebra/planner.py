@@ -15,6 +15,9 @@ with its ``PartialModel`` in the state position and gets the verdict of a
 a window, a static one as the degenerate plan with no join.  Every
 evaluation counts in ``repro_planner_evals_total`` as
 ``outcome="planned"`` or ``"fallback"``; :meth:`QueryPlanner.plan` says why.
+A window plan's run also counts in ``repro_planner_window_total`` as
+``mode="shift"`` — it re-joined only what the window shift added — or
+``"full"``.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
 use — come from :class:`~repro.algebra.stats.StatsCatalog`, whose row
@@ -98,6 +101,7 @@ class QueryPlanner:
         self._plans: OrderedDict = OrderedDict()
         self._plans_by_id: dict = {}
         self._derived: dict = {}
+        self._held: dict = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         # White-box seam for the chaos harness: when set, every planned
@@ -109,26 +113,41 @@ class QueryPlanner:
         self.fallback_count = 0
         self.exec_count = 0
         self.mismatch_count = 0
+        self.window_shift_count = 0
+        self.window_full_count = 0
 
     # -- caches -------------------------------------------------------------
+
+    def _weak(self, table: dict, obj, empty):
+        """``table``'s entry for ``obj``, made by ``empty()`` and held for as
+        long as ``obj`` is: ``table`` maps ``id(obj)`` to a weak reference
+        and the entry, dropped with ``obj``.  Called under ``_lock``."""
+        key = id(obj)
+        entry = table.get(key)
+        if entry is None:
+            drop = lambda _, key=key, table=table: table.pop(key, None)
+            entry = table[key] = (weakref.ref(obj, drop), empty())
+        return entry[1]
 
     def _cached(self, relation, kind, build):
         """Data derived from one immutable relation object (states share
         unchanged relations structurally, so one entry serves every snapshot
         that didn't touch the relation), held for as long as the relation
-        is: ``_derived`` maps ``id(relation)`` to a weak reference and a
-        ``{kind: data}`` table, dropped when the last state holding that
-        version is."""
-        key = id(relation)
+        is: a ``{kind: data}`` table in ``_derived``, dropped when the last
+        state holding that version is."""
         with self._lock:
-            entry = self._derived.get(key)
-            if entry is None:
-                drop = lambda _, key=key, table=self._derived: table.pop(key, None)
-                entry = self._derived[key] = (weakref.ref(relation, drop), {})
-            got = entry[1].get(kind)
+            data = self._weak(self._derived, relation, dict)
+            got = data.get(kind)
         if got is None:
-            got = entry[1][kind] = build()
+            got = data[kind] = build()
         return got
+
+    def held(self, q) -> list:
+        """Where the executor keeps the last window the window plan ``q``
+        held over: a one-element list in ``_held``, dropped with the
+        compiled plan."""
+        with self._lock:
+            return self._weak(self._held, q, lambda: [None])
 
     def reps_of(self, relation):
         """The relation's value-distinct representatives in the tree walk's

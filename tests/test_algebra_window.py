@@ -333,40 +333,50 @@ def gen_schema(rng):
     return schema, rels
 
 
-def gen_history(rng, schema, rels):
-    """1–4 states: each commit inserts, deletes, modifies, does nothing (a
-    content-equal state: a self-loop), re-inserts a deleted row's values
-    under a fresh identifier, or moves a tuple — identifier and all — into
-    the other relation of its arity."""
+def gen_state(rng, schema, rels):
     rows = {
         rel.name: [tuple(gen_value(rng, t) for t in types) for _ in range(rng.randint(0, 4))]
         for rel, types in rels
     }
-    state = state_from_rows(schema, rows)
+    return state_from_rows(schema, rows)
+
+
+def gen_commit(rng, state, rels):
+    """One commit of one or two ops: insert, delete, modify, nothing (a
+    content-equal state: a self-loop), re-insert a deleted row's values
+    under a fresh identifier, or move a tuple — identifier and all — into
+    the other relation of its arity."""
+    for _ in range(rng.randint(1, 2)):
+        rel, types = rels[rng.randrange(len(rels))]
+        live = list(state.relation(rel.name))
+        op = rng.choice(["insert", "delete", "modify", "noop", "reinsert", "move"])
+        if op == "insert" or (not live and op != "noop"):
+            fresh = DBTuple(None, tuple(gen_value(rng, t) for t in types))
+            state, _ = state.insert_tuple(rel.name, fresh)
+        elif op == "delete":
+            state = state.delete_tuple(rel.name, rng.choice(live))
+        elif op == "modify":
+            i = rng.randrange(len(types))
+            state = state.modify_tuple(rng.choice(live), i + 1, gen_value(rng, types[i]))
+        elif op == "reinsert":
+            victim = rng.choice(live)
+            state = state.delete_tuple(rel.name, victim)
+            state, _ = state.insert_tuple(rel.name, DBTuple(None, victim.values))
+        elif op == "move" and rel.name in ("R0", "R1"):
+            victim = rng.choice(live)
+            other = "R1" if rel.name == "R0" else "R0"
+            state = state.delete_tuple(rel.name, victim)
+            state, _ = state.insert_tuple(other, victim)
+    return state
+
+
+def gen_history(rng, schema, rels):
+    """1–4 states, each commit a :func:`gen_commit`."""
+    state = gen_state(rng, schema, rels)
     history = History(window=None)
     history.start(state)
     for step in range(rng.randint(0, 3)):
-        for _ in range(rng.randint(1, 2)):
-            rel, types = rels[rng.randrange(len(rels))]
-            live = list(state.relation(rel.name))
-            op = rng.choice(["insert", "delete", "modify", "noop", "reinsert", "move"])
-            if op == "insert" or (not live and op != "noop"):
-                fresh = DBTuple(None, tuple(gen_value(rng, t) for t in types))
-                state, _ = state.insert_tuple(rel.name, fresh)
-            elif op == "delete":
-                state = state.delete_tuple(rel.name, rng.choice(live))
-            elif op == "modify":
-                i = rng.randrange(len(types))
-                state = state.modify_tuple(rng.choice(live), i + 1, gen_value(rng, types[i]))
-            elif op == "reinsert":
-                victim = rng.choice(live)
-                state = state.delete_tuple(rel.name, victim)
-                state, _ = state.insert_tuple(rel.name, DBTuple(None, victim.values))
-            elif op == "move" and rel.name in ("R0", "R1"):
-                victim = rng.choice(live)
-                other = "R1" if rel.name == "R0" else "R0"
-                state = state.delete_tuple(rel.name, victim)
-                state, _ = state.insert_tuple(other, victim)
+        state = gen_commit(rng, state, rels)
         history.advance(state, f"tx{step}")
     return history
 
