@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from repro import Database, transaction
+from repro import Database, Interpreter, transaction
 from repro.constraints.model import Constraint
 from repro.db.schema import Schema
 from repro.db.state import state_from_rows
@@ -110,7 +110,9 @@ def hire_tx():
 
 
 def fresh_db(schema: Schema, *, planner: bool) -> Database:
-    db = Database(schema, initial=state_from_rows(schema, seed_rows()))
+    db = Database(
+        schema, initial=state_from_rows(schema, seed_rows()), interpreter=Interpreter()
+    )
     if planner:
         db.enable_planner()
     return db
@@ -272,7 +274,9 @@ def median_query_latency(db: Database, q) -> float:
 def test_bench_algebra_union_query(benchmark):
     schema = build_union_schema()
     rows = union_seed_rows()
-    db_slow = Database(schema, initial=state_from_rows(schema, rows))
+    db_slow = Database(
+        schema, initial=state_from_rows(schema, rows), interpreter=Interpreter()
+    )
     db_fast = Database(schema, initial=state_from_rows(schema, rows))
     planner = db_fast.enable_planner()
     q = union_query(schema)
@@ -358,7 +362,9 @@ def median_execute_latency(db: Database, tx) -> float:
 def test_bench_algebra_foreach_domain(benchmark):
     schema = build_union_schema()
     rows = union_seed_rows()
-    db_slow = Database(schema, initial=state_from_rows(schema, rows))
+    db_slow = Database(
+        schema, initial=state_from_rows(schema, rows), interpreter=Interpreter()
+    )
     db_fast = Database(schema, initial=state_from_rows(schema, rows))
     planner = db_fast.enable_planner()
     tx = foreach_tx(schema)

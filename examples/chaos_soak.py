@@ -4,12 +4,13 @@ Runs the engine-wide chaos harness over one or more seeds: each round
 submits a mixed workload (striped writers, a hot relation, foreach sweeps)
 through an optimistic scheduler while deterministic faults are injected —
 evaluation stalls, spurious validation conflicts, budget near-misses,
-deadline squeezes — then corrupts the planner's answers white-box and
-demands the quarantine machinery catch the lie.
+deadline squeezes.  The database plans by default; after the run the tree
+walk referees it: the commit log is replayed serially on the walk, and
+every relation's size is asked of both the planner and the walk.
 
 Every round must end with: only typed outcomes, a serially replayable
-commit log, a final state equivalent to the unfaulted replay, and zero
-wrong answers.  One JSON report per seed is written to the output
+commit log, a final state equivalent to the unfaulted walk replay, and
+zero wrong answers (planned answers that differ from the walk's).  One JSON report per seed is written to the output
 directory; the exit code is nonzero if any seed violated the contract.
 
 Run:  PYTHONPATH=src python examples/chaos_soak.py [outdir] [seed ...]
@@ -41,7 +42,7 @@ def main(argv: list[str]) -> int:
             f"{report.committed} committed, {report.aborted} aborted, "
             f"{report.failed} failed; "
             f"faults {sum(report.injected.values())}, "
-            f"quarantined {report.quarantined} -> {path}"
+            f"wrong answers {report.wrong_answers} -> {path}"
         )
         if not report.ok:
             failures += 1

@@ -15,7 +15,9 @@ DESIGN.md §7.6).  Anything the compiler cannot express, and any node with
 a predicate that could raise on the current column types, falls back to
 the tree walk silently.
 
-Enable via :meth:`repro.engine.Database.enable_planner`; inspect plans via
+Every :class:`repro.engine.Database` built without an explicit interpreter
+installs a planner (:meth:`~repro.engine.Database.enable_planner` installs
+a fresh one, optionally with the ``verify`` test seam); inspect plans via
 :meth:`QueryPlanner.plan` / :meth:`Plan.explain`.
 """
 

@@ -2,12 +2,12 @@
 subsystem.
 
 The planner sits behind four interpreter hooks (set formers, quantifiers,
-aggregates — installed by :meth:`repro.engine.Database.enable_planner`).
-Each hook returns ``(handled, value)``: ``(False, None)`` hands the node
-back to the tree walk (outside the compilable fragment, planner disabled
-or quarantined, relation drifted from the plan, a predicate that could
-raise on the current column types, or re-entry from the verification
-oracle), ``(True, value)`` answers it from a relational-
+``foreach`` domains, aggregates); every :class:`~repro.engine.Database`
+built without an explicit interpreter installs one.  Each hook returns
+``(handled, value)``: ``(False, None)`` hands the node back to the tree
+walk (outside the compilable fragment, relation drifted from the plan, a
+predicate that could raise on the current column types, or re-entry from
+the verification oracle), ``(True, value)`` answers it from a relational-
 algebra plan.  The quantifier hook has a second caller: the situational
 :class:`~repro.constraints.semantics.Evaluator` passes a closed ``forall``
 with its ``PartialModel`` in the state position and gets the verdict of a
@@ -20,15 +20,16 @@ A window plan's run also counts in ``repro_planner_window_total`` as
 ``"full"``.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
-use — come from :class:`~repro.algebra.stats.StatsCatalog`, whose row
-counts the engine maintains incrementally from commit deltas.  Decisions
-affect time only, never results or read sets: the executor reports every
-relation the plan names before it joins, whatever the physical join order
-(the read-set contract in :mod:`repro.algebra.executor`, DESIGN.md §7.6).
+use — read the state being planned: its relations' row counts, and the
+per-column distinct counts :class:`~repro.algebra.stats.StatsCatalog`
+caches per relation version.  Decisions affect time only, never results
+or read sets: the executor reports every relation the plan names before
+it joins, whatever the physical join order (the read-set contract in
+:mod:`repro.algebra.executor`, DESIGN.md §7.6).
 
-``verify=True`` cross-checks every planned answer against the tree-walk
-oracle; ``quarantine=True`` additionally disables the planner on the first
-mismatch and answers from the oracle (:mod:`repro.eval.quarantine`).
+``verify=True`` is a test seam: it cross-checks every planned answer
+against the tree-walk oracle and raises
+:class:`~repro.errors.PlannerMismatch` on a difference.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Optional
 
 from repro.db.state import State
 from repro.errors import PlanError, PlannerMismatch
-from repro.eval.quarantine import quarantine_event
 from repro.logic.fluents import Foreach, SetFormer
 from repro.logic.formulas import Exists, Forall
 from repro.transactions.interpreter import _tuple_order_key
@@ -88,13 +88,10 @@ class QueryPlanner:
         self,
         *,
         verify: bool = False,
-        quarantine: bool = False,
         metrics=None,
         max_plans: int = 512,
     ) -> None:
-        self.quarantine = quarantine
-        self.verify = verify or quarantine
-        self.enabled = True
+        self.verify = verify
         self.metrics = metrics
         self.stats = StatsCatalog()
         self.max_plans = max_plans
@@ -104,9 +101,8 @@ class QueryPlanner:
         self._held: dict = {}
         self._lock = threading.Lock()
         self._local = threading.local()
-        # White-box seam for the chaos harness: when set, every planned
-        # result is corrupted before the verify cross-check, proving the
-        # quarantine path fires and no wrong answer escapes.
+        # White-box test seam: when set, every planned result is corrupted
+        # before the verify cross-check, proving a wrong plan is caught.
         self._chaos_corrupt = False
         # Plain counters (mirrored to the metrics registry when present).
         self.compiled_count = 0
@@ -250,11 +246,7 @@ class QueryPlanner:
     # -- cost model ---------------------------------------------------------
 
     def _level_estimate(self, state, lv, local_eq_cols) -> float:
-        rel = state.relations.get(lv.rel)
-        base = self.stats.row_estimate(lv.rel)
-        if base <= 0 and rel is not None:
-            base = len(rel)
-        est = float(max(base, 0))
+        est = float(_rows(state, lv.rel))
         for col in local_eq_cols:
             est *= self.stats.selectivity(state, lv.rel, col)
         return max(est, 0.001)
@@ -339,11 +331,7 @@ class QueryPlanner:
 
         def walk(op):
             if isinstance(op, ir.Scan):
-                rel = state.relations.get(op.rel)
-                rows = self.stats.row_estimate(op.rel)
-                if rows <= 0 and rel is not None:
-                    rows = len(rel)
-                notes[id(op)] = f"~{rows} rows"
+                notes[id(op)] = f"~{_rows(state, op.rel)} rows"
             for attr in ("left", "right", "child"):
                 sub = getattr(op, attr, None)
                 if sub is not None:
@@ -428,7 +416,7 @@ class QueryPlanner:
     # -- interpreter hooks ---------------------------------------------------
 
     def _active(self) -> bool:
-        return self.enabled and not getattr(self._local, "in_oracle", False)
+        return not getattr(self._local, "in_oracle", False)
 
     def eval_set_former(self, interp, state, former, env):
         if not self._active():
@@ -546,15 +534,17 @@ class QueryPlanner:
                         f"{label}: planner={value!r} oracle={expected!r}"
                     )[:400]
                     self._count("repro_planner_mismatch_total", "mismatch")
-                    if self.quarantine:
-                        self.enabled = False
-                        quarantine_event(self.metrics, "planner", detail)
-                        return True, expected
                     raise PlannerMismatch(detail)
             return True, value
         finally:
             if tracer is not None:
                 tracer.finish(span)
+
+
+def _rows(state, name: str) -> int:
+    """Row count of relation ``name`` in ``state`` (0 when absent)."""
+    rel = state.relations.get(name)
+    return 0 if rel is None else len(rel)
 
 
 def _group_ops(root, q):
@@ -589,7 +579,7 @@ def _agree(value, expected) -> bool:
 
 
 def _corrupt(value):
-    """Chaos-harness corruption: wrong in an obvious, typed way."""
+    """Test-seam corruption: wrong in an obvious, typed way."""
     from repro.db.values import TupleSet
 
     if isinstance(value, bool):

@@ -1,15 +1,15 @@
-"""Per-relation cardinality statistics for the cost-based planner.
+"""Per-column statistics for the cost-based planner.
 
-Row counts are maintained *incrementally* from the commit deltas the engine
-already computes (:func:`repro.storage.serialize.state_delta`): inserts and
-deletes adjust counters in O(|delta|), so planning never rescans the
-database.  Per-column distinct counts (for join/selection selectivity) are
-computed lazily per relation and cached against the immutable
+Row counts are read off the state being planned (``len`` of a relation
+is O(1)), so a plan for any state — the current one, a snapshot, a
+candidate post-state — is costed on that state's own data.  Per-column
+distinct counts (for join/selection selectivity) are computed lazily per
+relation and cached against the immutable
 :class:`~repro.db.relation.Relation` object — a commit that touches a
 relation swaps the object, which invalidates the cache by identity.
 
 Statistics influence only plan *choice* (join order, build side, index
-use), never results: a stale estimate costs time, not correctness.
+use), never results: a poor estimate costs time, not correctness.
 """
 
 from __future__ import annotations
@@ -21,52 +21,16 @@ from repro.db.state import State
 
 
 class StatsCatalog:
-    """Cardinality bookkeeping shared by one planner."""
+    """Distinct-value bookkeeping shared by one planner."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.rows: dict[str, int] = {}
         self._ndv: dict[str, tuple[object, dict[int, int]]] = {}
-        self.commits_observed = 0
-
-    def prime(self, state: State) -> None:
-        """(Re)initialize row counts from a full state."""
-        with self._lock:
-            self.rows = {
-                name: len(state.relations[name]) for name in state.relations
-            }
-            self._ndv.clear()
-
-    def observe_commit(self, delta: dict) -> None:
-        """Fold one commit delta into the row counters."""
-        with self._lock:
-            self.commits_observed += 1
-            # Dropped relations first: a relation replaced within one commit
-            # appears in both lists, and processing "created" last keeps its
-            # fresh zero instead of popping it.  Creation also clears any
-            # NDV entry left over from a same-named predecessor, so the
-            # greedy join order never ranks a dead relation's statistics.
-            for name in delta.get("dropped", ()):
-                self.rows.pop(name, None)
-                self._ndv.pop(name, None)
-            for name, arity in delta.get("created", ()):
-                self.rows[name] = 0
-                self._ndv.pop(name, None)
-            for name, ops in delta.get("changes", {}).items():
-                base = self.rows.get(name, 0)
-                base += len(ops.get("ins", ()))
-                base -= len(ops.get("del", ()))
-                self.rows[name] = max(0, base)
-                self._ndv.pop(name, None)
-
-    # -- estimates ---------------------------------------------------------
-
-    def row_estimate(self, name: str) -> int:
-        return self.rows.get(name, 0)
 
     def distinct(self, state: State, name: str, index: int) -> int:
-        """Distinct values in column ``index`` (1-based); lazily computed
-        and cached against the current relation object."""
+        """Distinct values in column ``index`` (1-based) of ``state``'s
+        relation; lazily computed and cached against that relation
+        object."""
         rel = state.relations.get(name)
         if rel is None:
             return 0
@@ -88,15 +52,5 @@ class StatsCatalog:
         (``None`` index — a non-equality predicate — uses a fixed 1/3)."""
         if index is None:
             return 1 / 3
-        n = self.row_estimate(name)
-        if n <= 0:
-            return 1.0
         d = self.distinct(state, name, index) or 1
         return 1.0 / d
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "rows": dict(self.rows),
-                "commits_observed": self.commits_observed,
-            }

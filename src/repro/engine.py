@@ -9,9 +9,13 @@
   history than the window is either rejected eagerly (``strict=True``) or
   skipped with a record (``strict=False``),
 * registered :class:`~repro.constraints.history.HistoryEncoding` transforms
-  (Example 4's FIRE relation) that run after every transaction, and
+  (Example 4's FIRE relation) that run after every transaction,
 * an optional :class:`~repro.db.evolution.EvolutionGraph` recording the
-  whole execution for later model checking.
+  whole execution for later model checking, and
+* an interpreter that answers set formers, quantifiers, aggregates and
+  whole constraints from relational-algebra plans
+  (:class:`~repro.algebra.planner.QueryPlanner`) where it can and walks the
+  rest; ``interpreter=Interpreter()`` walks everything.
 
 A violated constraint rolls the transaction back (the state does not
 advance) and raises :class:`~repro.errors.ConstraintViolation` — the
@@ -28,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.algebra.planner import QueryPlanner
 from repro.errors import CheckabilityError, ConstraintViolation, ReproError
 from repro.constraints.checkability import analyze
 from repro.constraints.checker import CheckResult, check_history
@@ -113,8 +118,10 @@ class Database:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.schema = schema
-        self.interpreter = interpreter or Interpreter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if interpreter is None:
+            interpreter = Interpreter(planner=QueryPlanner(metrics=self.metrics))
+        self.interpreter = interpreter
         self.strict = strict
         self.encodings: list[HistoryEncoding] = []
         self.history = History(window=window)
@@ -128,7 +135,7 @@ class Database:
         self._trusted: set[tuple[str, str]] = set()
         self.store: Optional["Store"] = None
         self._durable_seq = 0
-        self._planner: Optional["QueryPlanner"] = None
+        self._planner: Optional[QueryPlanner] = interpreter.planner
         self._warn_unenforced()
 
     # -- configuration -------------------------------------------------------
@@ -209,7 +216,6 @@ class Database:
                     current, prepared, f"register-encoding:{encoding.log_name}"
                 )
         if self._planner is not None:
-            self._planner.stats.prime(self.history.states[-1])
             # A formula refused over the old schema may compile now.
             self._planner.invalidate_negative()
         self._warn_unenforced()
@@ -224,31 +230,27 @@ class Database:
     def enable_incremental(self) -> None:
         """Does nothing: every commit checks every enforceable constraint."""
 
-    def enable_planner(
-        self, *, verify: bool = False, quarantine: bool = False
-    ) -> "QueryPlanner":
-        """Answer eligible set formers, quantifiers, and aggregates from
-        cost-based relational-algebra plans instead of nested enumeration.
+    def enable_planner(self, *, verify: bool = False) -> QueryPlanner:
+        """Install a fresh planner on this database's interpreter.
 
-        The planner (:mod:`repro.algebra`) compiles the read-only fragment
-        — membership-narrowed set formers, ``exists`` chains, guarded
-        ``forall`` constraints, aggregates — to hash-join plans ordered by
-        per-relation cardinality statistics, which this engine maintains
-        incrementally from each commit's physical delta.  Values
-        (including canonical enumeration order) and budget enforcement are
-        replicated; errors are the tree walk's own, because a node whose
-        predicates could raise on the current column types is handed back
-        to it.  The ``_touch`` read sets that drive optimistic-conflict
-        validation follow one contract: a plan reports the relations it
-        names plus the owners of its parameters — a superset of the tree
-        walk's reads, so validation stays sound, at the price of a
-        spurious conflict when a named relation sat behind an empty
-        prefix, or when a parameter no row needed was a dead tuple, whose
-        dereference reads every relation (DESIGN.md §7.6).  Inexpressible
-        nodes silently fall back to the tree walk.  Constraint checking,
-        :meth:`query`, and server ``QUERY`` evaluation all go through the
-        same interpreter, so all three accelerate; the planner is the
-        engine's only evaluation accelerator.
+        Every database constructed without an explicit ``interpreter``
+        already plans: the planner (:mod:`repro.algebra`) compiles the
+        read-only fragment — membership-narrowed set formers, ``exists``
+        chains, guarded ``forall`` constraints, aggregates — to hash-join
+        plans ordered by the row counts and distinct values of the state
+        being planned.  Values (including canonical enumeration order) and
+        budget enforcement are replicated; errors are the tree walk's own,
+        because a node whose predicates could raise on the current column
+        types is handed back to it.  The ``_touch`` read sets that drive
+        optimistic-conflict validation follow one contract: a plan reports
+        the relations it names plus the owners of its parameters — a
+        superset of the tree walk's reads, so validation stays sound, at
+        the price of a spurious conflict when a named relation sat behind
+        an empty prefix, or when a parameter no row needed was a dead
+        tuple, whose dereference reads every relation (DESIGN.md §7.6).
+        Inexpressible nodes silently fall back to the tree walk.
+        Constraint checking, :meth:`query`, and server ``QUERY`` evaluation
+        all go through the same interpreter.
 
         A constraint — a closed ``forall`` prefix over states, transitions
         and tuples — is planned as a whole: a *window plan* joins the
@@ -257,18 +259,17 @@ class Database:
         a state term ``s;delete(v, R)`` is first regressed to ``s`` through
         the delete axioms).  The situational evaluator's walk stays the
         definition: it answers what is outside the fragment
-        (``planner.plan(formula, model)`` raises the reason) and every
-        ``verify=`` cross-check.
+        (``planner.plan(formula, model)`` raises the reason), and a
+        database built with ``interpreter=Interpreter()`` walks everything —
+        the oracle the agreement tests compare plans against.
 
-        ``verify=True`` cross-checks every planned answer against the tree
-        walk and raises :class:`~repro.errors.PlannerMismatch` on any
-        difference.  ``quarantine=True`` (implies verify) degrades
-        gracefully instead: the first mismatch disables the planner for
-        the rest of the run (warning + ``repro_quarantined_total``) and
-        the evaluation returns the tree walk's answer.
+        ``verify=True`` is a test seam: it cross-checks every planned answer
+        against the tree walk and raises
+        :class:`~repro.errors.PlannerMismatch` on any difference, at the
+        cost of the walk behind every answer.
 
-        Returns the planner (``stats`` exposes cardinalities; ``plan()``/
-        ``explain()`` render physical plans).
+        Returns the planner (``plan()``/``explain()`` render physical
+        plans).
 
         >>> from repro.domains import make_domain
         >>> from repro.logic import builder as b
@@ -281,12 +282,7 @@ class Database:
         >>> planner.exec_count
         1
         """
-        from repro.algebra.planner import QueryPlanner
-
-        self._planner = QueryPlanner(
-            verify=verify, quarantine=quarantine, metrics=self.metrics
-        )
-        self._planner.stats.prime(self.current)
+        self._planner = QueryPlanner(verify=verify, metrics=self.metrics)
         self.interpreter = dataclasses.replace(
             self.interpreter, planner=self._planner
         )
@@ -391,8 +387,8 @@ class Database:
     ) -> Value:
         """Evaluate a query program at the current state.
 
-        One evaluation through the database's interpreter, so
-        :meth:`enable_planner` answers it from plans where it can.
+        One evaluation through the database's interpreter, so the planner
+        answers it from plans where it can.
         ``budget`` (a :class:`~repro.transactions.budget.Budget`) bounds the
         evaluation exactly as in :meth:`execute` — the transaction server
         uses it to meter per-tenant query work.
@@ -475,11 +471,11 @@ class Database:
         Runs the history encodings and the commit's constraint loop
         (:meth:`_check`) against a forked candidate history and returns the
         final (encoded) post-state, leaving the database untouched:
-        history, evolution graph, journal, and the planner's statistics
-        all stay as they were.  Because the loop is the one
-        :meth:`apply` runs, rehearsal raises exactly what :meth:`apply`
-        would raise — :class:`~repro.errors.ConstraintViolation` on a
-        violated constraint, :class:`~repro.errors.CheckabilityError` under
+        history, evolution graph and journal all stay as they were.
+        Because the loop is the one :meth:`apply` runs, rehearsal raises
+        exactly what :meth:`apply` would raise —
+        :class:`~repro.errors.ConstraintViolation` on a violated
+        constraint, :class:`~repro.errors.CheckabilityError` under
         ``strict`` for an uncheckable one, and any evaluation error a check
         raises.
 
@@ -552,15 +548,13 @@ class Database:
             self.history.labels = candidate.labels
         else:
             self.history.advance(after, label)
-        if self._planner is not None:
-            from repro.storage.serialize import state_delta
-
-            delta = state_delta(before, after)
-            self._planner.stats.observe_commit(delta)
-            if delta.get("created") or delta.get("dropped"):
-                # Created/dropped relations can move a formula that was
-                # negatively cached as Incompilable into the fragment.
-                self._planner.invalidate_negative()
+        if (
+            self._planner is not None
+            and before.relations.keys() != after.relations.keys()
+        ):
+            # Created/dropped relations can move a formula that was
+            # negatively cached as Incompilable into the fragment.
+            self._planner.invalidate_negative()
         if self.graph is not None:
             self.graph.add_transition(before, after, label)
         if self.store is not None:

@@ -338,10 +338,10 @@ class PlanError(ReproError):
 class PlannerMismatch(PlanError):
     """Verify mode caught the planner disagreeing with the tree-walk oracle.
 
-    Raised only when :meth:`Database.enable_planner` was called with
-    ``verify=True`` and ``quarantine=False``; with quarantine on, the
-    planner disables itself and answers from the oracle instead of raising
-    (:mod:`repro.eval.quarantine`).
+    Raised only by a planner installed with ``verify=True``
+    (:meth:`Database.enable_planner`) — the test seam that runs the walk
+    behind every planned answer.  Production databases plan without it;
+    the agreement tests referee the planner against the walk instead.
     """
 
     def __init__(self, detail: str) -> None:

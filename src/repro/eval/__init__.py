@@ -1,15 +1,13 @@
-"""Evaluation support: footprints, version index, quarantine.
+"""Evaluation support: footprints and the version index.
 
 * :mod:`repro.eval.footprint` — static analysis mapping each constraint
   (or program) to the over-approximated set of relations its evaluation
   can read; sharding placement and routing run on it;
 * :mod:`repro.eval.versions` — the per-relation last-writer index the
-  optimistic scheduler validates footprints against in O(|footprint|);
-* :mod:`repro.eval.quarantine` — graceful degradation for the algebra
-  planner when its ``verify`` mode catches a mismatch.
+  optimistic scheduler validates footprints against in O(|footprint|).
 
-A query is one evaluation at one state; the planner
-(:meth:`~repro.engine.Database.enable_planner`) is what makes it fast.
+A query is one evaluation at one state; the planner every
+:class:`~repro.engine.Database` installs is what makes it fast.
 DESIGN.md §7.3 gives the soundness arguments; ``docs/ARCHITECTURE.md``
 places the layer in the system.
 """

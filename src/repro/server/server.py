@@ -205,12 +205,9 @@ class TransactionServer:
 
     ``programs`` is the set of :class:`DatabaseProgram` values clients may
     invoke by name — the server executes *registered* programs only, it
-    never evaluates terms off the wire.
-
-    ``planner=True`` plans the database's evaluations in the safe
-    configuration (``enable_planner(quarantine=True)``).  On a sharded
-    backend it is accepted and does nothing: every shard already plans its
-    constraint checks.
+    never evaluates terms off the wire.  Queries and constraint checks run
+    on the database's own interpreter, so a default-constructed
+    :class:`~repro.engine.Database` serves them from plans.
     """
 
     def __init__(
@@ -225,15 +222,8 @@ class TransactionServer:
         workers: int = 8,
         retry: Optional[RetryPolicy] = None,
         max_frame: int = MAX_FRAME_PAYLOAD,
-        planner: bool = False,
     ) -> None:
         self.database = database
-        sharded = getattr(database, "is_sharded", False)
-        if planner and not sharded and database._planner is None:
-            # Server deployments get the safe configuration: every planned
-            # answer is cross-checked and the first mismatch quarantines
-            # the planner rather than surfacing a wrong answer to clients.
-            database.enable_planner(quarantine=True)
         self.programs: dict[str, DatabaseProgram] = {
             p.name: p for p in programs
         }

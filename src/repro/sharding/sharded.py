@@ -29,7 +29,7 @@ simply re-evaluated (deterministically) against a fresh block sized to fit.
 
 Every shard engine plans its constraint checks (``enable_planner``): the
 per-row invariants homed on a shard are answered by window / f-plans, as
-on a planned :class:`~repro.engine.Database`.  Transaction bodies run on
+on any :class:`~repro.engine.Database`.  Transaction bodies run on
 the router's own :attr:`ShardedDatabase.interpreter`.
 """
 

@@ -2,10 +2,10 @@
 
 The governance layer claims that no matter what goes wrong — a stalled
 evaluation, a storm of validation conflicts, a transaction that runs out
-of fuel at the worst moment, a planner that lies — the engine's answer
-is always a *typed* error or a clean degradation, never a hang, a wrong
-answer, or an unserializable history.  This module is the harness that
-earns that claim.
+of fuel at the worst moment — the engine's answer is always a *typed*
+error or a clean degradation, never a hang, a wrong answer, or an
+unserializable history.  This module is the harness that earns that
+claim.
 
 A :class:`ChaosInjector` wraps one :class:`~repro.engine.Database` and
 injects four fault families into the optimistic scheduler:
@@ -21,19 +21,16 @@ injects four fault families into the optimistic scheduler:
 * **deadline squeezes** — sub-workload wall-clock deadlines that interrupt
   evaluation *in the middle of a foreach*, not just between retries.
 
-Planner corruption is a fifth, serial-phase fault: the planner's answers
-are flipped white-box, and a quarantined planner must detect the lie,
-disable itself, and keep answering correctly from the tree walk.
-
 **Determinism.**  Every per-transaction fault plan is pre-drawn at submit
 time from an RNG seeded with ``(seed, index)`` — worker scheduling cannot
 change *which* faults a transaction receives, only when they land.  Two
 soak runs with the same seed inject the identical fault plans.
 
 :func:`run_soak` drives a mixed workload (striped writers, a hot relation,
-foreach sweeps) through a faulted manager and returns a
+foreach sweeps) through a faulted, planning database and returns a
 :class:`ChaosReport` asserting the contract: every outcome typed, commit
-log serially replayable, final state equivalent to the unfaulted replay.
+log serially replayable, final state equivalent to the unfaulted replay
+on the tree walk, and every planned answer equal to the walk's.
 """
 
 from __future__ import annotations
@@ -41,14 +38,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.db.schema import Schema
 from repro.engine import Database
 from repro.errors import ReproError
-from repro.eval.quarantine import QuarantineWarning
 from repro.logic import builder as b
 from repro.concurrent.log import states_equivalent
 from repro.concurrent.retry import RetryPolicy
@@ -58,6 +53,7 @@ from repro.concurrent.scheduler import (
     TransactionStatus,
 )
 from repro.transactions.budget import Budget
+from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram, query, transaction
 
 CHAOS_RELATION = "<chaos>"  # phantom conflict marker; no real relation
@@ -222,7 +218,6 @@ class ChaosReport:
     aborted: int = 0
     failed: int = 0
     injected: dict = field(default_factory=dict)
-    quarantined: int = 0
     untyped_errors: list = field(default_factory=list)
     serializable: bool = False
     replay_equivalent: bool = False
@@ -283,21 +278,22 @@ def run_soak(
 ) -> ChaosReport:
     """One full chaos soak round; returns the evidence as a report.
 
-    Phase 1 (concurrent): ``transactions`` submissions — striped puts, a
-    hot relation every fourth transaction, a ``foreach`` sweep every
-    seventh — each under its deterministic fault plan.  Phase 2 (serial,
-    manager closed): the planner's answers are corrupted white-box and
-    the size queries re-asked; the quarantined planner must disable itself
-    and every answer must come back correct from the tree walk.
+    ``transactions`` submissions — striped puts, a hot relation every
+    fourth transaction, a ``foreach`` sweep every seventh — each under its
+    deterministic fault plan, against a database that plans by default.
+    The tree walk (a plain :class:`~repro.transactions.interpreter.
+    Interpreter`) referees the run afterwards: the commit log is replayed
+    serially on it, and every relation's size is asked of the planner and
+    of the walk.  A replay that diverges from the live state, or a size
+    the two answer differently, counts in ``wrong_answers``.
 
     The contract checked (``report.ok``): every outcome typed (COMMITTED,
     or ABORTED/FAILED carrying a :class:`~repro.errors.ReproError`), the
     commit log replays serially to a state equivalent to the live one, and
-    no query ever returned a wrong answer.
+    no planned answer disagreed with the walk.
     """
     report = ChaosReport(seed=seed)
     db = Database(_soak_schema(stripes), window=2)
-    planner = db.enable_planner(quarantine=True)
     puts, bump, sweep = _soak_programs(stripes)
     chaos = ChaosInjector(db, seed=seed, config=config)
     policy = RetryPolicy(
@@ -336,47 +332,18 @@ def run_soak(
 
         # Serializability witness: replay the log serially and compare.
         report.serializable = mgr.verify_serializable()
+        walk = Interpreter()
         replayed = mgr.log.replay(
-            mgr.initial,
-            interpreter=db.interpreter,
-            encodings=db.encodings,
+            mgr.initial, interpreter=walk, encodings=db.encodings
         )
         report.replay_equivalent = states_equivalent(
             mgr.initial, db.current, replayed
         )
-
-    # Phase 2: corrupt the planner's answers white-box; the verify
-    # cross-check must quarantine it on the first lie and every answer
-    # must still be correct (served from the tree-walk oracle).
-    sizes = [
-        query(f"size-{name}", (), b.size_of(b.rel(name, 2)))
-        for name in ["HOT", "SWEEP"] + [f"R{i}" for i in range(stripes)]
-    ]
-    expected = {q.name: db.query(q) for q in sizes}
     report.injected = dict(chaos.injected)
-    if planner.mismatch_count:
-        # A mismatch before deliberate corruption is a real planner bug,
-        # not chaos — surface it as a contract violation.
-        report.untyped_errors.append(
-            f"planner mismatched {planner.mismatch_count}x during soak"
-        )
-    if planner.enabled:
-        planner._chaos_corrupt = True
-        report.injected["planner_corruptions"] = 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for q in sizes:
-                if db.query(q) != expected[q.name]:
-                    report.wrong_answers += 1
-        planner._chaos_corrupt = False
-        report.quarantined = sum(
-            1
-            for w in caught
-            if issubclass(w.category, QuarantineWarning)
-            and getattr(w.message, "component", "") == "planner"
-        )
-        if not report.quarantined:
-            report.untyped_errors.append(
-                "planner corruption went undetected (no quarantine)"
-            )
+    if not report.replay_equivalent:
+        report.wrong_answers += 1
+    for name in ["HOT", "SWEEP"] + [f"R{i}" for i in range(stripes)]:
+        size = query(f"size-{name}", (), b.size_of(b.rel(name, 2)))
+        if db.query(size) != size.query(db.current, interpreter=walk):
+            report.wrong_answers += 1
     return report

@@ -149,9 +149,10 @@ class Interpreter:
     ``None`` (the default) costs one attribute check per seam — the same
     contract as :attr:`tracer`."""
     planner: Optional[object] = None
-    """Attach a :class:`repro.algebra.planner.QueryPlanner` (via
-    :meth:`repro.engine.Database.enable_planner`) to answer set formers,
-    quantifiers, and aggregates from relational-algebra plans.  Each hook
+    """Attach a :class:`repro.algebra.planner.QueryPlanner` (every
+    :class:`repro.engine.Database` built without an interpreter does) to
+    answer set formers, quantifiers, and aggregates from relational-algebra
+    plans.  Each hook
     returns ``(handled, value)``; ``(False, None)`` falls back to the tree
     walk here, so the planner is a pure accelerator — values, budget
     enforcement, and error classes are replicated, and the read set it

@@ -36,7 +36,7 @@ from repro.db.state import state_from_rows
 from repro.errors import EvaluationError, PlanError
 from repro.logic import builder as b
 from repro.logic.terms import RelConst
-from repro.transactions.interpreter import Env
+from repro.transactions.interpreter import Env, Interpreter
 
 from tests.test_algebra_touch import read_bound
 
@@ -267,7 +267,7 @@ def test_planner_and_tree_walk_agree_on_random_queries(seed):
     for round_no in range(8):
         schema, rels = gen_schema(rng)
         state = gen_state(rng, schema, rels)
-        plain = Database(schema, initial=state)
+        plain = Database(schema, initial=state, interpreter=Interpreter())
         planned = Database(schema, initial=state)
         planner = planned.enable_planner(verify=seed % 2 == 0)
         param = b.atom_var("p")
@@ -379,7 +379,7 @@ def test_group_aggregates_and_the_tree_walk_agree(seed):
     for round_no in range(8):
         schema, rels = gen_schema(rng)
         state = gen_state(rng, schema, rels)
-        plain = Database(schema, initial=state)
+        plain = Database(schema, initial=state, interpreter=Interpreter())
         bare = Database(schema, initial=state)
         verified = Database(schema, initial=state)
         bare.enable_planner()
@@ -418,7 +418,7 @@ class TestGroupAggregateCorners:
 
     def databases(self, domain, **rows):
         state = state_from_rows(domain.schema, {**self.ROWS, **rows})
-        plain = Database(domain.schema, initial=state)
+        plain = Database(domain.schema, initial=state, interpreter=Interpreter())
         planned = Database(domain.schema, initial=state)
         planned.enable_planner(verify=True)
         return plain, planned

@@ -1,25 +1,23 @@
 """The query planner end to end: answers, plan caching, fallbacks,
-statistics maintenance, explain rendering, verify/quarantine, and the
-engine/server wiring.
+statistics, explain rendering, the verify seam, and the engine/server
+wiring.
 
 The planner's contract is the accelerator contract from DESIGN.md §7:
 identical observable behavior to the tree walk — same values, same
 canonical ordering, same error classes — with ``verify=True`` turning
-any lapse into :class:`PlannerMismatch` and ``quarantine=True`` into a
-one-way degradation back to the tree walk.
+any lapse into :class:`PlannerMismatch`.  Every database plans by
+default, so the walk references here are built with
+``interpreter=Interpreter()``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
-from repro import Database, PlannerMismatch, query
+from repro import Database, Interpreter, PlannerMismatch, query
 from repro.db.state import state_from_rows
 from repro.domains import make_domain
-from repro.eval.quarantine import QuarantineWarning
 from repro.logic import builder as b
 
 
@@ -28,8 +26,12 @@ def domain():
     return make_domain()
 
 
-def fresh_db(domain, **kwargs):
-    return Database(domain.schema, initial=domain.sample_state())
+def fresh_db(domain):
+    """A database over the sample state that walks: the reference arm, or
+    a base for ``enable_planner``."""
+    return Database(
+        domain.schema, initial=domain.sample_state(), interpreter=Interpreter()
+    )
 
 
 def names_in_dept(d, dept):
@@ -289,7 +291,7 @@ class TestErrorParity:
         state = state_from_rows(domain.schema, rows)
         outcomes = []
         for verify in (None, False, True):
-            db = Database(domain.schema, initial=state)
+            db = Database(domain.schema, initial=state, interpreter=Interpreter())
             planner = None if verify is None else db.enable_planner(verify=verify)
             interp = db.interpreter
             run = interp.eval_formula if is_formula else interp.eval_object
@@ -483,19 +485,23 @@ class TestExplain:
 
 
 class TestStats:
-    def test_stats_maintained_incrementally_through_commits(self, domain):
-        db = fresh_db(domain)
+    def test_explain_reports_the_row_count_of_the_state_it_plans(self, domain):
+        """The cost model reads the state being planned, not a counter of
+        the current one: planning the pre-commit state reports its rows."""
+        db = Database(domain.schema, initial=domain.sample_state())
         planner = db.enable_planner()
-        before = planner.stats.row_estimate("PROJ")
-        commits_before = planner.stats.commits_observed
+        projects = b.rel("PROJ", 2)
+        before = db.current
         db.execute(domain.create_project, "apollo", 25)
-        assert planner.stats.row_estimate("PROJ") == before + 1
-        assert planner.stats.commits_observed == commits_before + 1
+        rows = len(before.relations["PROJ"])
+        assert len(db.current.relations["PROJ"]) == rows + 1
+        assert f"~{rows} rows" in planner.plan(projects, before).explain()
+        assert f"~{rows + 1} rows" in planner.plan(projects, db.current).explain()
 
     def test_replaced_relation_gets_fresh_stats(self, domain):
         """A commit that drops and re-creates a relation must not leave
-        the predecessor's row count or NDV cache behind: the greedy join
-        order would keep ranking a dead relation's statistics."""
+        the predecessor's NDV cache behind: the greedy join order would
+        keep ranking a dead relation's statistics."""
         from repro import transaction
 
         db = fresh_db(domain)
@@ -510,22 +516,21 @@ class TestStats:
                 b.assign("ALLOC", b.diff(b.rel("ALLOC", 3), b.rel("ALLOC", 3))),
             )
         )
-        assert planner.stats.row_estimate("ALLOC") == 0
-        assert "ALLOC" not in planner.stats._ndv
-        # Re-register: stats start from the fresh (empty) relation, and a
-        # lazily recomputed NDV reflects the new contents only.
+        assert planner.stats.distinct(db.current, "ALLOC", 1) == 0
+        # A lazily recomputed NDV reflects the new contents only.
         db.execute(domain.allocate, "alice", "db", 10)
-        assert planner.stats.row_estimate("ALLOC") == 1
         assert planner.stats.distinct(db.current, "ALLOC", 1) == 1
+        assert planner.stats._ndv["ALLOC"][0] is db.current.relations["ALLOC"]
 
     def test_failed_commit_does_not_move_stats(self, domain):
         domain.install_constraints()
         db = Database(domain.schema, initial=domain.sample_state())
         planner = db.enable_planner()
-        before = planner.stats.row_estimate("EMP")
+        employees = b.rel("EMP", 5)
+        before = planner.plan(employees, db.current).explain()
         ok, _ = db.try_execute(domain.hire, "erin", "cs", 90, 25, "S")
         assert not ok
-        assert planner.stats.row_estimate("EMP") == before
+        assert planner.plan(employees, db.current).explain() == before
 
 
 class TestDerivedCache:
@@ -558,39 +563,6 @@ class TestVerifyAndQuarantine:
         with pytest.raises(PlannerMismatch):
             db.query(query("headcount", (), b.size_of(b.rel("EMP", 5))))
 
-    def test_quarantine_returns_truth_and_disables_planner(self, domain):
-        db = fresh_db(domain)
-        planner = db.enable_planner(quarantine=True)
-        planner._chaos_corrupt = True
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            answer = db.query(
-                query("headcount", (), b.size_of(b.rel("EMP", 5)))
-            )
-        assert answer == 4  # the oracle's answer, not the corrupted one
-        assert not planner.enabled
-        quarantines = [
-            w for w in caught if issubclass(w.category, QuarantineWarning)
-        ]
-        assert len(quarantines) == 1
-        assert quarantines[0].message.component == "planner"
-        # Subsequent queries take the tree walk; no further planner execs.
-        execs = planner.exec_count
-        db.query(query("headcount2", (), b.size_of(b.rel("EMP", 5))))
-        assert planner.exec_count == execs
-
-    def test_quarantine_increments_metric(self, domain):
-        db = fresh_db(domain)
-        planner = db.enable_planner(quarantine=True)
-        planner._chaos_corrupt = True
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            db.query(query("headcount", (), b.size_of(b.rel("EMP", 5))))
-        counter = db.metrics.get(
-            "repro_quarantined_total", component="planner"
-        )
-        assert counter is not None and counter.value == 1
-
 
 class TestWiring:
     def test_package_root_exports(self):
@@ -606,10 +578,25 @@ class TestWiring:
         tracking = TrackingInterpreter.wrapping(db.interpreter)
         assert tracking.planner is db._planner
 
-    def test_server_planner_flag(self, domain):
-        from repro.server import TransactionServer
+    def test_a_database_plans_unless_given_an_interpreter(self, domain):
+        planned = Database(domain.schema)
+        assert planned.interpreter.planner is not None
+        assert planned.interpreter.planner is planned._planner
+        assert planned._planner.metrics is planned.metrics
+        walk = Database(domain.schema, interpreter=Interpreter())
+        assert walk.interpreter.planner is None and walk._planner is None
 
-        db = fresh_db(domain)
-        TransactionServer(db, planner=True)
-        assert db._planner is not None
-        assert db._planner.verify  # quarantine implies verify: safe config
+    def test_a_served_query_on_a_default_database_is_planned(self, domain):
+        from repro.server import Client, TransactionServer
+
+        db = Database(domain.schema, initial=domain.sample_state())
+        headcount = query("headcount", (), b.size_of(b.rel("EMP", 5)))
+        server = TransactionServer(db, [headcount])
+        server.start()
+        try:
+            with Client(*server.address) as client:
+                assert client.query("headcount") == 4
+        finally:
+            server.close()
+        planned = db.metrics.get("repro_planner_evals_total", outcome="planned")
+        assert planned is not None and planned.value >= 1

@@ -31,7 +31,7 @@ from repro.logic import builder as b
 from repro.logic.formulas import Forall
 from repro.logic.symbols import SymbolKind
 from repro.logic.terms import App
-from repro.transactions.interpreter import Env
+from repro.transactions.interpreter import Env, Interpreter
 
 
 @pytest.fixture()
@@ -89,7 +89,7 @@ def read_bound(db, node, env=None) -> frozenset:
 
 
 def evaluate(d, state, node, *, planner, is_formula=False, env=None):
-    db = Database(d.schema, initial=state)
+    db = Database(d.schema, initial=state, interpreter=Interpreter())
     if planner:
         db.enable_planner()
     tracking = TrackingInterpreter.wrapping(db.interpreter)
@@ -366,7 +366,7 @@ class TestForeachDomains:
         )
 
     def run(self, d, state, fluent, *, planner):
-        db = Database(d.schema, initial=state)
+        db = Database(d.schema, initial=state, interpreter=Interpreter())
         if planner:
             db.enable_planner()
         tracking = TrackingInterpreter.wrapping(db.interpreter)

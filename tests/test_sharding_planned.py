@@ -78,16 +78,13 @@ class TestShardsPlan:
 
 
 class TestServedShards:
-    def test_planner_flag_is_accepted_and_does_nothing_when_sharded(
-        self, stripe_schema
-    ):
-        """``TransactionServer(sharded, planner=True)`` used to raise
-        ``AttributeError`` (a ``ShardedDatabase`` has no ``_planner``);
-        shards plan regardless, so the flag is a no-op there."""
+    def test_a_served_sharded_database_plans(self, stripe_schema):
+        """A server over a ``ShardedDatabase`` needs no configuration:
+        every shard engine plans the checks of the writes it serves."""
         sdb = ShardedDatabase(stripe_schema, shards=4)
         rel = stripe_schema.relation("R0")
         size = query("size-R0", (), b.size_of(rel.rel()))
-        server = TransactionServer(sdb, [put(rel), size], planner=True)
+        server = TransactionServer(sdb, [put(rel), size])
         server.start()
         try:
             with Client(*server.address) as client:

@@ -164,8 +164,9 @@ class TestRouting:
         schema = disjoint_schema()
         sdb = ShardedDatabase(schema, shards=3)
         from repro.engine import Database
+        from repro.transactions.interpreter import Interpreter
 
-        db = Database(disjoint_schema())
+        db = Database(disjoint_schema(), interpreter=Interpreter())  # the walk
         for i in range(12):
             stripe = i % 4
             sdb.execute(put(stripe), i, i * 10)

@@ -13,7 +13,13 @@ The eight constraints the ledger's ``emp_*`` workloads install must plan:
 a refusal of one of them is a regression of the commit path and exits
 non-zero.
 
-A second section builds a 4-shard ``ShardedDatabase`` over an 8-stripe
+A second section builds, for each shipped domain, a default-constructed
+``Database`` over the domain's sample state with its window-checkable
+constraints installed, commits one write and prints the planner's planned /
+fallback evaluation counts; a database without a planner, or one that
+planned nothing, exits non-zero — the check that planning stays the default.
+
+A third section builds a 4-shard ``ShardedDatabase`` over an 8-stripe
 ``v >= 0`` schema (E18's shape), writes once per stripe and prints each
 shard's planned / fallback evaluation counts; a shard that did not plan,
 or fell back to the walk, exits non-zero too.
@@ -31,6 +37,7 @@ from repro.constraints.semantics import PartialModel
 from repro.db.schema import Schema
 from repro.domains import make_domain
 from repro.domains.banking import make_banking_domain
+from repro.engine import Database
 from repro.errors import PlanError
 from repro.logic import builder as b
 from repro.logic.formulas import Forall
@@ -63,6 +70,32 @@ def verdict(planner: QueryPlanner, formula, state) -> str:
     return "planned (degenerate) over planned (f-plan)"
 
 
+def single_node() -> bool:
+    """Plan counts of one write on a default ``Database`` per shipped
+    domain; True when every one planned."""
+    employee, banking = make_domain(), make_banking_domain()
+    employee.install_constraints(*MUST_PLAN)
+    for constraint in banking.constraints()[:3]:  # the last needs full history
+        banking.schema.add_constraint(constraint)
+    writes = (
+        ("employee", employee, 3, employee.create_project, ("apollo", 25)),
+        ("banking", banking, 2, banking.deposit, ("ada", 5)),
+    )
+    ok = True
+    print("\nsingle node: a default Database, one write per domain")
+    for name, domain, window, write, args in writes:
+        db = Database(domain.schema, window=window, initial=domain.sample_state())
+        db.execute(write, *args)
+        planner = db.interpreter.planner
+        if planner is None:
+            print(f"{name}: no planner")
+            ok = False
+            continue
+        print(f"{name}: planned {planner.exec_count}, fallback {planner.fallback_count}")
+        ok = ok and planner.exec_count > 0
+    return ok
+
+
 def sharded() -> bool:
     """Plan counts per shard after one write per stripe; True when every
     shard planned and none fell back."""
@@ -85,7 +118,7 @@ def sharded() -> bool:
     ok = True
     print("\nsharded: 4 shards, 8 stripes, one write per stripe")
     for shard in sdb.shards:
-        planner = shard.db.interpreter.planner  # None: the shard only walks
+        planner = shard.db.interpreter.planner
         planned = planner.exec_count if planner else 0
         fallback = planner.fallback_count if planner else 0
         print(f"shard {shard.index}: planned {planned}, fallback {fallback}")
@@ -110,10 +143,13 @@ def main() -> int:
                 refused.append(constraint.name)
     if refused:
         print(f"must-plan constraints refused: {', '.join(refused)}", file=sys.stderr)
+    default_plans = single_node()
+    if not default_plans:
+        print("a default Database did not plan its commit", file=sys.stderr)
     shards_plan = sharded()
     if not shards_plan:
         print("a shard did not plan its constraint checks", file=sys.stderr)
-    return 1 if refused or not shards_plan else 0
+    return 1 if refused or not default_plans or not shards_plan else 0
 
 
 if __name__ == "__main__":
