@@ -68,10 +68,7 @@ def requests_per_second(count: int, elapsed: float) -> float:
 
 
 def test_bench_server_single_vs_batched():
-    # A throughput server has no use for the in-memory evolution graph
-    # (E6 measures that structure); leaving it on would charge every commit
-    # for multigraph bookkeeping on both sides of the comparison.
-    db = Database(fanout_schema(), record_graph=False)
+    db = Database(fanout_schema())
     # Unbounded admission: this experiment measures the wire, not quotas
     # (the pipelined phase keeps SINGLES requests in flight at once).
     ungoverned = TenantConfig(max_inflight=None)

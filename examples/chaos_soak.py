@@ -5,11 +5,11 @@ submits a mixed workload (striped writers, a hot relation, foreach sweeps)
 through an optimistic scheduler while deterministic faults are injected —
 evaluation stalls, spurious validation conflicts, budget near-misses,
 deadline squeezes.  The database plans by default; after the run the tree
-walk referees it: the commit log is replayed serially on the walk, and
+walk referees it: the committed outcomes are replayed serially on the walk, and
 every relation's size is asked of both the planner and the walk.
 
-Every round must end with: only typed outcomes, a serially replayable
-commit log, a final state equivalent to the unfaulted walk replay, and
+Every round must end with: only typed outcomes, serially replayable
+committed outcomes, a final state equivalent to the unfaulted walk replay, and
 zero wrong answers (planned answers that differ from the walk's).  One JSON report per seed is written to the output
 directory; the exit code is nonzero if any seed violated the contract.
 

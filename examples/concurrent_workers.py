@@ -3,9 +3,9 @@
 Eight workers submit transactions against a shared database.  Each one
 evaluates optimistically against an immutable snapshot (no locks held),
 validates its read/write footprint at commit time, and retries under
-exponential backoff when a conflicting commit beat it.  The commit log
-records the serial order the winning schedule took — replaying it serially
-reproduces the final state exactly.
+exponential backoff when a conflicting commit beat it.  Each committed
+outcome records its place in the serial order the winning schedule took —
+replaying the outcomes in that order reproduces the final state exactly.
 
 Run:  PYTHONPATH=src python examples/concurrent_workers.py
 """
@@ -49,10 +49,12 @@ def main() -> None:
 
         print("\nscheduler metrics:", mgr.stats.summary())
 
-        # The commit log is the serializability witness: replaying it
-        # serially from the initial state reproduces the live state.
-        print("serial order (first 6):", ", ".join(mgr.log.serial_order()[:6]), "...")
-        print("serially replayable:", mgr.verify_serializable())
+        # The committed outcomes are the serializability witness: each
+        # carries its serial position, and replaying them in that order
+        # from the initial state reproduces the live state.
+        serial = sorted((o.record for o in outcomes if o.ok), key=lambda r: r.seq)
+        print("serial order (first 6):", ", ".join(r.label for r in serial[:6]), "...")
+        print("serially replayable:", mgr.verify_serializable(outcomes))
 
     print("\nfinal LEDGER size:", len(db.current.relation("LEDGER")))
     print("final AUDIT size:", len(db.current.relation("AUDIT")))

@@ -4,7 +4,9 @@ A concurrent workload commits through the optimistic scheduler while every
 commit is journaled inside the commit critical section.  We then simulate a
 crash at a *torn-write* offset — the process died while a frame was being
 appended — recover the store copy, and verify the recovered state is exactly
-a prefix of the serial order the commit log recorded.
+a prefix of the serial order the committed outcomes record.  The journal
+is the run: its tail names the last commits, and nothing in memory keeps
+more than the history window.
 
 Run:  PYTHONPATH=src python examples/durable_recovery.py
 """
@@ -12,9 +14,10 @@ Run:  PYTHONPATH=src python examples/durable_recovery.py
 import tempfile
 
 from repro import Database, Schema, Store, transaction
-from repro.concurrent.log import states_equivalent
+from repro.concurrent.log import replay_states, states_equivalent
 from repro.logic import builder as b
 from repro.storage import faults
+from repro.storage.journal import read_journal
 
 
 def main() -> None:
@@ -37,12 +40,17 @@ def main() -> None:
         calls += [(note, f"acc{i % 3}", i) for i in range(6)]
         outcomes = mgr.run_all(calls, think_time=0.001)
         assert all(o.ok for o in outcomes)
-        replayed = mgr.log.replay_states(
-            mgr.initial, interpreter=db.interpreter, encodings=db.encodings
+        records = [o.record for o in outcomes]
+        replayed = replay_states(
+            mgr.initial, records, interpreter=db.interpreter,
+            encodings=db.encodings,
         )
     db.close()
-    print(f"journaled {len(mgr.log)} commits to {store_path}")
-    print("last 3 commits:", ", ".join(r.label for r in mgr.log.tail(3)))
+    print(f"journaled {len(records)} commits to {store_path}")
+    tail = read_journal(Store(store_path).journal_path).records[-3:]
+    print("last 3 commits (journal tail):", ", ".join(
+        f"{r.seq}:{r.label}" for r in tail
+    ))
 
     # -- clean recovery reproduces the exact final state -------------------
     recovery = Store(store_path).recover()
@@ -59,11 +67,11 @@ def main() -> None:
     print("after crash:   ", recovery.summary())
 
     # The recovered state is exactly the run after `seq` commits — a prefix
-    # of the commit log's serial replay, never a torn or merged state.
+    # of the committed records' serial replay, never a torn or merged state.
     assert states_equivalent(
         mgr.initial, recovery.state, replayed[recovery.seq]
     )
-    lost = len(mgr.log) - recovery.seq
+    lost = len(records) - recovery.seq
     print(
         f"recovered a committed prefix: {recovery.seq} commits survive, "
         f"{lost} in-flight commit(s) after the tear were lost"

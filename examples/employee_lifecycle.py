@@ -86,7 +86,7 @@ def main() -> None:
     wide = Database(domain2.schema, window=3, initial=domain2.sample_state())
     wide.execute(domain2.set_salary, "alice", 150)
     print("  window=3: executed and checked;",
-          f"{len(wide.records[-1].results)} constraint(s) validated")
+          f"{len(wide.last_record.results)} constraint(s) validated")
 
 
 if __name__ == "__main__":

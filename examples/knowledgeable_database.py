@@ -33,7 +33,7 @@ def main() -> None:
     print(f"skill-retention ⊨ add-skill proved and trusted: {trusted2}")
 
     db.execute(domain.add_skill, "alice", 7)
-    record = db.records[-1]
+    record = db.last_record
     print(
         f"\nexecuting add-skill: {len(record.results)} constraint(s) checked, "
         f"{len(record.skipped)} skipped as verified"
@@ -42,7 +42,7 @@ def main() -> None:
         print(f"  skipped {skip.constraint.name}: {skip.reason}")
 
     db.execute(domain.birthday, "alice")
-    record = db.records[-1]
+    record = db.last_record
     print(
         f"executing birthday (untrusted): {len(record.results)} constraint(s) "
         f"checked, {len(record.skipped)} skipped"

@@ -30,7 +30,7 @@ Subsystem map (see DESIGN.md):
 * :mod:`repro.synthesis` — transaction synthesis with repairs (S9)
 * :mod:`repro.domains` — the paper's employee database (S10)
 * :mod:`repro.lang` — the surface syntax (S11)
-* :mod:`repro.concurrent` — optimistic parallel scheduling + commit log (S12)
+* :mod:`repro.concurrent` — optimistic parallel scheduling + serial replay (S12)
 * :mod:`repro.storage` — write-ahead journal, checkpoints, crash recovery (S13)
 * :mod:`repro.obs` — tracing, metrics, profiling hooks (S14)
 * :mod:`repro.server` — the multi-tenant wire server, client, and REPL (S17)
@@ -40,7 +40,6 @@ Subsystem map (see DESIGN.md):
 from repro.concurrent import (
     AdmissionController,
     CircuitBreaker,
-    CommitLog,
     CommitRecord,
     ConcurrencyStats,
     Deadline,
@@ -186,7 +185,7 @@ __all__ = [
     "parse", "parse_formula", "parse_transaction",
     # concurrent
     "TransactionManager", "TransactionOutcome", "TransactionStatus",
-    "RetryPolicy", "Deadline", "CommitLog", "CommitRecord",
+    "RetryPolicy", "Deadline", "CommitRecord",
     "TrackingInterpreter", "ReadWriteSet", "ConcurrencyStats",
     "states_equivalent",
     "AdmissionController", "CircuitBreaker",

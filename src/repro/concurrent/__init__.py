@@ -4,7 +4,7 @@ The paper's evolution-graph view makes states values; this subsystem makes
 *schedules* values.  Workers evaluate transactions against snapshots with no
 locking (:mod:`tracking`), a validate-at-commit scheduler serializes them
 (:mod:`scheduler`) with retry/backoff on conflict (:mod:`retry`), every
-commit lands in a replayable serial log (:mod:`log`), a metrics surface
+commit carries a replayable record (:mod:`log`), a metrics surface
 watches it all (:mod:`stats`), and admission control plus a conflict-storm
 circuit breaker keep it standing under overload (:mod:`admission`).  Entry
 point: :meth:`repro.engine.Database.concurrent`.
@@ -15,7 +15,7 @@ from repro.concurrent.admission import (
     AdmissionTicket,
     CircuitBreaker,
 )
-from repro.concurrent.log import CommitLog, CommitRecord, states_equivalent
+from repro.concurrent.log import CommitRecord, replay_states, states_equivalent
 from repro.concurrent.retry import Deadline, RetryPolicy
 from repro.concurrent.scheduler import (
     TransactionManager,
@@ -33,7 +33,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionTicket",
     "CircuitBreaker",
-    "CommitLog",
     "CommitRecord",
     "ConcurrencyStats",
     "Deadline",
@@ -45,6 +44,7 @@ __all__ = [
     "TransactionOutcome",
     "TransactionStatus",
     "quantile",
+    "replay_states",
     "states_equivalent",
     "written_relations",
 ]

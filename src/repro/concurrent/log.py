@@ -1,24 +1,23 @@
-"""The serializable commit log: the winning schedule as a first-class object.
+"""Commit records and their serial replay: the winning schedule as a value.
 
-The evolution graph of the paper records *which* transitions a database took;
-under concurrent execution the interesting artifact is the **serial order
+Under concurrent execution the interesting artifact is the **serial order
 the scheduler committed** — the one path through the evolution graph that
-the winning schedule traced.  :class:`CommitLog` records one
-:class:`CommitRecord` per commit (program, arguments, snapshot version,
-read/write sets, conflicts survived, constraint results, latency) in commit
-order, and is **replayable**: running the logged programs serially from the
-initial state reconstructs the exact same final state (up to the naming of
-freshly allocated tuple identifiers), which is the operational statement of
-serializability.
+the winning schedule traced.  Each committed
+:class:`~repro.concurrent.scheduler.TransactionOutcome` carries one
+:class:`CommitRecord` (program, arguments, serial position, snapshot
+version, read/write sets, conflicts survived, constraint results, latency).
+The manager keeps none of them: the caller holds the outcomes it wants, and
+a durable database's run is its journal.  :func:`replay_states` runs
+records serially from the initial state; reaching the live state (up to
+the naming of freshly allocated tuple identifiers) is the operational
+statement of serializability.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union, overload
+from typing import Iterable, Optional
 
-from repro.db.evolution import EvolutionGraph, chain_graph
 from repro.db.state import State
 from repro.transactions.interpreter import Interpreter, _order_equivalent
 from repro.transactions.program import DatabaseProgram
@@ -63,106 +62,28 @@ class CommitRecord:
         return self.attempts > 1
 
 
-class CommitLog:
-    """An append-only, thread-safe log of commits in serial order."""
+def replay_states(
+    initial: State,
+    records: Iterable[CommitRecord],
+    *,
+    interpreter: Optional[Interpreter] = None,
+    encodings: Iterable = (),
+) -> list[State]:
+    """The serial execution of ``records`` from ``initial``, in ``seq``
+    order (the order they are given in does not matter): every
+    intermediate state, starting with ``initial`` itself.
 
-    def __init__(self) -> None:
-        self._records: list[CommitRecord] = []
-        self._lock = threading.Lock()
-
-    def append(self, record: CommitRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def records(self) -> tuple[CommitRecord, ...]:
-        with self._lock:
-            return tuple(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __iter__(self) -> Iterator[CommitRecord]:
-        return iter(self.records())
-
-    @overload
-    def __getitem__(self, index: int) -> CommitRecord: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> tuple[CommitRecord, ...]: ...
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[CommitRecord, tuple[CommitRecord, ...]]:
-        """Indexing in serial order; negative indices count back from the
-        newest commit and slices return an immutable snapshot tuple."""
-        with self._lock:
-            if isinstance(index, slice):
-                return tuple(self._records[index])
-            return self._records[index]
-
-    def tail(self, n: int) -> tuple[CommitRecord, ...]:
-        """The last ``n`` commits, oldest first — what recovery diagnostics
-        print next to a journal tail (``n`` larger than the log is the whole
-        log; ``n <= 0`` is empty)."""
-        if n <= 0:
-            return ()
-        with self._lock:
-            return tuple(self._records[-n:])
-
-    def serial_order(self) -> tuple[str, ...]:
-        """The committed labels, in serial order."""
-        return tuple(r.label for r in self.records())
-
-    # -- replay ------------------------------------------------------------
-
-    def replay_states(
-        self,
-        initial: State,
-        *,
-        interpreter: Optional[Interpreter] = None,
-        encodings: Iterable = (),
-    ) -> list[State]:
-        """The serial execution of the log from ``initial``: every
-        intermediate state, starting with ``initial`` itself.
-
-        ``encodings`` should be the database's registered history encodings
-        so the replay applies the same post-transaction transforms the
-        engine did.
-        """
-        interp = interpreter or Interpreter()
-        encodings = tuple(encodings)
-        states = [initial]
-        for record in self.records():
-            before = states[-1]
-            after = record.program.run(before, *record.args, interpreter=interp)
-            for encoding in encodings:
-                after = encoding.record(before, after)
-            states.append(after)
-        return states
-
-    def replay(
-        self,
-        initial: State,
-        *,
-        interpreter: Optional[Interpreter] = None,
-        encodings: Iterable = (),
-    ) -> State:
-        """The final state of the serial execution of the log."""
-        return self.replay_states(
-            initial, interpreter=interpreter, encodings=encodings
-        )[-1]
-
-    def to_graph(
-        self,
-        initial: State,
-        *,
-        interpreter: Optional[Interpreter] = None,
-        encodings: Iterable = (),
-    ) -> EvolutionGraph:
-        """The evolution-graph path the winning schedule took: the chain of
-        replayed states with the committed labels on the arcs."""
-        states = self.replay_states(
-            initial, interpreter=interpreter, encodings=encodings
-        )
-        return chain_graph(states, list(self.serial_order()))
+    ``encodings`` should be the database's registered history encodings
+    so the replay applies the same post-transaction transforms the engine
+    did.
+    """
+    interp = interpreter or Interpreter()
+    encodings = tuple(encodings)
+    states = [initial]
+    for record in sorted(records, key=lambda r: r.seq):
+        before = states[-1]
+        after = record.program.run(before, *record.args, interpreter=interp)
+        for encoding in encodings:
+            after = encoding.record(before, after)
+        states.append(after)
+    return states

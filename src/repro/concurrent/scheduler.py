@@ -14,13 +14,14 @@ then enters the short critical section to **validate and commit**:
 * *commit* — a transaction that evaluated against an older snapshot has its
   written relations replayed onto the current state (safe precisely because
   validation proved nobody else touched them), then goes through
-  :meth:`Database.apply`, so history encodings, constraint enforcement,
-  history windows, and the evolution graph all see commits exactly as serial
-  execution would.
+  :meth:`Database.apply`, so history encodings, constraint enforcement
+  and history windows all see commits exactly as serial execution would.
 
-Every commit is appended to the :class:`CommitLog`; replaying the log
+Every commit's :class:`CommitRecord` rides on its outcome, numbered in
+serial order; the manager keeps none.  Replaying every committed outcome
 serially from the initial state reproduces the final state, which is the
-subsystem's serializability witness (`TransactionManager.verify_serializable`).
+subsystem's serializability witness
+(:meth:`TransactionManager.verify_serializable`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.db.state import State
 from repro.transactions.budget import Budget
 from repro.transactions.program import DatabaseProgram
 from repro.concurrent.admission import AdmissionController, AdmissionTicket
-from repro.concurrent.log import CommitLog, CommitRecord, states_equivalent
+from repro.concurrent.log import CommitRecord, replay_states, states_equivalent
 from repro.concurrent.retry import Deadline, RetryPolicy
 from repro.concurrent.stats import ConcurrencyStats
 from repro.concurrent.tracking import TrackingInterpreter, written_relations
@@ -91,11 +92,12 @@ class TransactionManager:
     ...     outcomes = [f.result() for f in futures]
     >>> all(o.ok for o in outcomes)
     True
-    >>> mgr.verify_serializable()
+    >>> mgr.verify_serializable(outcomes)
     True
 
-    The manager owns a worker pool, a :class:`CommitLog`, and a
-    :class:`ConcurrencyStats` surface.  All commits go through the
+    The manager owns a worker pool and a :class:`ConcurrencyStats`
+    surface; it keeps no per-commit history (each committed outcome carries
+    its :class:`CommitRecord`).  All commits go through the
     database's :meth:`~repro.engine.Database.apply` under the manager's
     lock; do not interleave direct ``db.execute`` calls while a manager is
     live.
@@ -122,7 +124,6 @@ class TransactionManager:
         self._chaos = chaos  # testing seam: may inject validation conflicts
         if admission is not None:
             admission.attach_metrics(getattr(database, "metrics", None))
-        self.log = CommitLog()
         self.stats = ConcurrencyStats(
             metrics=getattr(database, "metrics", None)
         )
@@ -159,7 +160,7 @@ class TransactionManager:
     @property
     def initial(self) -> State:
         """The database state when this manager was constructed — the base
-        of the commit log's serial replay."""
+        of :meth:`verify_serializable`'s serial replay."""
         return self._initial
 
     def snapshot(self) -> tuple[int, State]:
@@ -167,17 +168,31 @@ class TransactionManager:
         with self._lock:
             return self._version, self.database.current
 
-    def verify_serializable(self) -> bool:
-        """Replay the commit log serially from the manager's initial state
+    def verify_serializable(self, outcomes: Iterable[TransactionOutcome]) -> bool:
+        """Replay the committed ``outcomes`` serially from :attr:`initial`
         and compare with the live database (up to fresh-identifier naming).
-        Sound when every commit since construction went through this
-        manager."""
-        replayed = self.log.replay(
+
+        ``outcomes`` must include every commit this manager made, in any
+        order (uncommitted outcomes are ignored): their ``seq``s must be
+        exactly ``1..version``, else :class:`ValueError`.  Commits made
+        around the manager (a direct ``db.execute``) are not seen.
+        """
+        records = [o.record for o in outcomes if o.record is not None]
+        with self._lock:
+            version, current = self._version, self.database.current
+        seqs = sorted(r.seq for r in records)
+        if seqs != list(range(1, version + 1)):
+            raise ValueError(
+                f"outcomes must cover commits 1..{version} exactly; "
+                f"got {len(seqs)} committed outcome(s)"
+            )
+        replayed = replay_states(
             self._initial,
+            records,
             interpreter=self.database.interpreter,
             encodings=self.database.encodings,
-        )
-        return states_equivalent(self._initial, self.database.current, replayed)
+        )[-1]
+        return states_equivalent(self._initial, current, replayed)
 
     # -- submission --------------------------------------------------------
 
@@ -463,7 +478,7 @@ class TransactionManager:
         conflicts: list[frozenset[str]],
         started: float,
     ) -> TransactionOutcome:
-        """Merge, enforce, and append — caller holds the lock and has
+        """Merge and enforce — caller holds the lock and has
         already validated the footprint."""
         current = self.database.current
         if snapshot_version == self._version:
@@ -490,7 +505,7 @@ class TransactionManager:
         effective = written_relations(current, final)
         self._writes.bump(effective, self._version)
         latency = time.perf_counter() - started
-        engine_record = self.database.records[-1]
+        engine_record = self.database.last_record
         record = CommitRecord(
             seq=self._version,
             label=label,
@@ -506,7 +521,6 @@ class TransactionManager:
             ),
             latency=latency,
         )
-        self.log.append(record)
         self.stats.record_commit(latency)
         return TransactionOutcome(
             label, TransactionStatus.COMMITTED, final, attempt,

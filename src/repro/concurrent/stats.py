@@ -96,6 +96,10 @@ class ConcurrencyStats:
     ``repro_conflicts_total{relation=...}``,
     ``repro_txn_latency_seconds``, ``repro_backoff_seconds``, ...) so the
     scheduler shares one exposition surface with the journal and store.
+    Latency lives in one ring-windowed
+    :class:`~repro.obs.metrics.Histogram` — the registry's
+    ``repro_txn_latency_seconds`` when attached, else a private one — so
+    the quantiles cover its most recent window and memory stays flat.
     """
 
     def __init__(
@@ -109,24 +113,29 @@ class ConcurrencyStats:
         self._failures = 0
         self._backoffs = 0
         self._backoff_total = 0.0
-        self._latencies: list[float] = []
         self._conflict_relations: Counter[str] = Counter()
         self._top_k = top_k
         self.metrics = metrics
+        from repro.obs.metrics import Histogram  # import cycle guard
+
+        self._latency = (
+            metrics.histogram(
+                "repro_txn_latency_seconds", "submit-to-commit wall time"
+            )
+            if metrics is not None
+            else Histogram()
+        )
 
     # -- recording ---------------------------------------------------------
 
     def record_commit(self, latency: float) -> None:
         with self._lock:
             self._commits += 1
-            self._latencies.append(latency)
+        self._latency.observe(latency)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_commits_total", "transactions committed"
             ).inc()
-            self.metrics.histogram(
-                "repro_txn_latency_seconds", "submit-to-commit wall time"
-            ).observe(latency)
 
     def record_conflict(self, relations: Iterable[str] = ()) -> None:
         """Count one failed validation; ``relations`` are the footprint
@@ -211,11 +220,12 @@ class ConcurrencyStats:
             retries = self._retries
             aborts = self._aborts
             failures = self._failures
-            latencies = list(self._latencies)
             by_relation = dict(self._conflict_relations)
         validations = commits + conflicts
         rate = conflicts / validations if validations else 0.0
-        mean = sum(latencies) / len(latencies) if latencies else 0.0
+        latency = self._latency.to_doc()
+        observed = latency["count"]
+        mean = latency["sum"] / observed if observed else 0.0
         return StatsSnapshot(
             commits=commits,
             conflicts=conflicts,
@@ -224,9 +234,9 @@ class ConcurrencyStats:
             failures=failures,
             conflict_rate=rate,
             mean_latency=mean,
-            p50_latency=quantile(latencies, 0.50, default=0.0),
-            p95_latency=quantile(latencies, 0.95, default=0.0),
-            p99_latency=quantile(latencies, 0.99, default=0.0),
+            p50_latency=latency["quantiles"]["p50"],
+            p95_latency=latency["quantiles"]["p95"],
+            p99_latency=latency["quantiles"]["p99"],
             top_conflicts=tuple(
                 sorted(by_relation.items(), key=lambda kv: (-kv[1], kv[0]))[
                     : self._top_k

@@ -9,9 +9,7 @@
   history than the window is either rejected eagerly (``strict=True``) or
   skipped with a record (``strict=False``),
 * registered :class:`~repro.constraints.history.HistoryEncoding` transforms
-  (Example 4's FIRE relation) that run after every transaction,
-* an optional :class:`~repro.db.evolution.EvolutionGraph` recording the
-  whole execution for later model checking, and
+  (Example 4's FIRE relation) that run after every transaction, and
 * an interpreter that answers set formers, quantifiers, aggregates and
   whole constraints from relational-algebra plans
   (:class:`~repro.algebra.planner.QueryPlanner`) where it can and walks the
@@ -22,6 +20,11 @@ advance) and raises :class:`~repro.errors.ConstraintViolation` — the
 "database system must handle changes and check, when a state transition
 occurs, that both the new state and the state transition are valid" of
 Section 1.
+
+Memory is O(window): the database keeps the window and the
+:class:`ExecutionRecord` of the newest commit, never the whole run.  A
+durable database's run is its journal (:mod:`repro.storage`), which
+recovery and replicas fold back into states.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.constraints.checkability import analyze
 from repro.constraints.checker import CheckResult, check_history
 from repro.constraints.history import HistoryEncoding
 from repro.constraints.model import Constraint, Window
-from repro.db.evolution import EvolutionGraph, History
+from repro.db.evolution import History
 from repro.db.state import State, initial_state
 from repro.db.schema import Schema
 from repro.db.values import Value
@@ -103,8 +106,15 @@ class Database:
     >>> _ = db.execute(domain.hire, "erin", "cs", 90, 25, "S")
     >>> len(db.current.relation("EMP").tuples)
     5
-    >>> db.records[-1].ok
+    >>> db.last_record.ok
     True
+
+    ``last_record`` is the :class:`ExecutionRecord` of the newest checked
+    commit, rejected or not (``None`` before the first).  ``record_graph``
+    is accepted and ignored: the database keeps no evolution graph of its
+    run (the window's graph is ``db.history.to_graph()``), and the
+    benchmark ledger's workloads (``benchmarks/ledger/workloads.py``) still
+    pass it.
     """
 
     def __init__(
@@ -127,10 +137,7 @@ class Database:
         self.history = History(window=window)
         start = initial if initial is not None else initial_state(schema)
         self.history.start(start)
-        self.graph: Optional[EvolutionGraph] = EvolutionGraph() if record_graph else None
-        if self.graph is not None:
-            self.graph.add_state(start)
-        self.records: list[ExecutionRecord] = []
+        self.last_record: Optional[ExecutionRecord] = None
         self._windows: dict[str, int | Window] = {}
         self._trusted: set[tuple[str, str]] = set()
         self.store: Optional["Store"] = None
@@ -200,10 +207,8 @@ class Database:
         """Register a history encoding; its log relation is added to the
         schema and to the current state.
 
-        Preparing the current state replaces ``history.states[-1]``; the
-        replacement is recorded in the evolution graph as well (as a
-        ``register-encoding`` arc), so graph and history never diverge when
-        an encoding is registered mid-run.
+        Preparing the current state replaces ``history.states[-1]``, so the
+        next commit's window starts from the prepared state.
         """
         encoding.extend_schema(self.schema)
         self.encodings.append(encoding)
@@ -211,10 +216,6 @@ class Database:
         prepared = encoding.prepare_state(current)
         if prepared is not current:
             self.history.states[-1] = prepared
-            if self.graph is not None:
-                self.graph.add_transition(
-                    current, prepared, f"register-encoding:{encoding.log_name}"
-                )
         if self._planner is not None:
             # A formula refused over the old schema may compile now.
             self._planner.invalidate_negative()
@@ -445,7 +446,7 @@ class Database:
         snapshot_version: Optional[int] = None,
     ) -> State:
         """Commit a *precomputed* post-state: run encodings, enforce
-        constraints, advance history and graph.
+        constraints, advance the history.
 
         This is the commit half of :meth:`execute`, exposed for callers that
         evaluate transactions elsewhere — the optimistic scheduler of
@@ -471,7 +472,7 @@ class Database:
         Runs the history encodings and the commit's constraint loop
         (:meth:`_check`) against a forked candidate history and returns the
         final (encoded) post-state, leaving the database untouched:
-        history, evolution graph and journal all stay as they were.
+        history, ``last_record`` and journal all stay as they were.
         Because the loop is the one :meth:`apply` runs, rehearsal raises
         exactly what :meth:`apply` would raise —
         :class:`~repro.errors.ConstraintViolation` on a violated
@@ -538,7 +539,7 @@ class Database:
         for encoding in self.encodings:
             after = encoding.record(before, after)
         record, candidate = self._check(after, label, program_name)
-        self.records.append(record)
+        self.last_record = record
         record.raise_if_violated()
 
         if candidate is not None:
@@ -555,8 +556,6 @@ class Database:
             # Created/dropped relations can move a formula that was
             # negatively cached as Incompilable into the fragment.
             self._planner.invalidate_negative()
-        if self.graph is not None:
-            self.graph.add_transition(before, after, label)
         if self.store is not None:
             # Journal *after* the in-memory commit succeeded: a violated
             # constraint never reaches disk, and a crash between the

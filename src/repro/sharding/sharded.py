@@ -295,7 +295,6 @@ class ShardedDatabase:
             initial=State(state.relations, state.owner, next_tid),
             interpreter=self.interpreter,
             strict=self.strict,
-            record_graph=False,
             metrics=self.metrics,
         )
         db.enable_planner()
@@ -876,7 +875,7 @@ class ShardedDatabase:
                     raise
             self._record_created(before, final, shard.index)
             delta = state_delta(before, final)
-            exec_record = shard.db.records[-1]
+            exec_record = shard.db.last_record
             results = tuple(
                 (r.constraint.name, r.ok) for r in exec_record.results
             )
@@ -1131,7 +1130,7 @@ class ShardedDatabase:
                         if shard.seq % self.checkpoint_every == 0:
                             shard.store.checkpoint(final, shard.seq)
                     self._record_created(merged, after, shard.index)
-                    exec_record = shard.db.records[-1]
+                    exec_record = shard.db.last_record
                     results = results + tuple(
                         (r.constraint.name, r.ok)
                         for r in exec_record.results

@@ -44,9 +44,9 @@ class JournalRecord:
 
     ``delta`` is the physical layer recovery replays; ``label`` /
     ``program`` / ``args`` / ``snapshot_version`` are the logical layer —
-    enough to correlate a journal tail with a
-    :class:`~repro.concurrent.log.CommitLog` and to re-run registered
-    programs (:mod:`repro.transactions.library`) for diagnostics.
+    the run's commit history (the database keeps none in memory), enough
+    to read its tail and to re-run registered programs
+    (:mod:`repro.transactions.library`) for diagnostics.
     ``post_digest`` is the SHA-256 of the post-commit content of the
     relations this commit touched (plus the allocator) — an O(|delta|)
     check chaining each record to the exact state it produced.

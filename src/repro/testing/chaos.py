@@ -14,7 +14,7 @@ injects four fault families into the optimistic scheduler:
   snapshot-to-validation window (more real conflicts);
 * **spurious conflicts** — the scheduler's ``chaos`` validation seam
   reports a phantom collision on a relation no transaction owns, forcing
-  retries (and feeding the circuit breaker) without corrupting the log;
+  retries (and feeding the circuit breaker) without corrupting the serial order;
 * **budget near-misses** — evaluation budgets drawn tight around the
   workload's actual fuel consumption, so some attempts run out mid-flight
   and abort with :class:`~repro.errors.BudgetExceeded`;
@@ -28,8 +28,8 @@ soak runs with the same seed inject the identical fault plans.
 
 :func:`run_soak` drives a mixed workload (striped writers, a hot relation,
 foreach sweeps) through a faulted, planning database and returns a
-:class:`ChaosReport` asserting the contract: every outcome typed, commit
-log serially replayable, final state equivalent to the unfaulted replay
+:class:`ChaosReport` asserting the contract: every outcome typed, committed
+outcomes serially replayable, final state equivalent to the unfaulted replay
 on the tree walk, and every planned answer equal to the walk's.
 """
 
@@ -45,7 +45,7 @@ from repro.db.schema import Schema
 from repro.engine import Database
 from repro.errors import ReproError
 from repro.logic import builder as b
-from repro.concurrent.log import states_equivalent
+from repro.concurrent.log import replay_states, states_equivalent
 from repro.concurrent.retry import RetryPolicy
 from repro.concurrent.scheduler import (
     TransactionManager,
@@ -282,14 +282,14 @@ def run_soak(
     fourth transaction, a ``foreach`` sweep every seventh — each under its
     deterministic fault plan, against a database that plans by default.
     The tree walk (a plain :class:`~repro.transactions.interpreter.
-    Interpreter`) referees the run afterwards: the commit log is replayed
-    serially on it, and every relation's size is asked of the planner and
+    Interpreter`) referees the run afterwards: the committed outcomes are
+    replayed serially on it, and every relation's size is asked of the planner and
     of the walk.  A replay that diverges from the live state, or a size
     the two answer differently, counts in ``wrong_answers``.
 
     The contract checked (``report.ok``): every outcome typed (COMMITTED,
     or ABORTED/FAILED carrying a :class:`~repro.errors.ReproError`), the
-    commit log replays serially to a state equivalent to the live one, and
+    committed outcomes replay serially to a state equivalent to the live one, and
     no planned answer disagreed with the walk.
     """
     report = ChaosReport(seed=seed)
@@ -311,6 +311,7 @@ def run_soak(
             else:
                 call = (puts[i % stripes], i, i)
             futures.append(chaos.submit(mgr, i, call[0], *call[1:]))
+        outcomes: list[TransactionOutcome] = []
         for fut in futures:
             err = fut.exception()
             if err is not None:
@@ -318,7 +319,8 @@ def run_soak(
                 # surface here; anything untyped is a contract violation.
                 report.untyped_errors.append(repr(err))
                 continue
-            outcome: TransactionOutcome = fut.result()
+            outcome = fut.result()
+            outcomes.append(outcome)
             report.transactions += 1
             if outcome.status is TransactionStatus.COMMITTED:
                 report.committed += 1
@@ -330,12 +332,15 @@ def run_soak(
                 if not isinstance(outcome.error, ReproError):
                     report.untyped_errors.append(repr(outcome.error))
 
-        # Serializability witness: replay the log serially and compare.
-        report.serializable = mgr.verify_serializable()
+        # Serializability witness: replay the commits serially and compare.
+        report.serializable = mgr.verify_serializable(outcomes)
         walk = Interpreter()
-        replayed = mgr.log.replay(
-            mgr.initial, interpreter=walk, encodings=db.encodings
-        )
+        replayed = replay_states(
+            mgr.initial,
+            [o.record for o in outcomes if o.ok],
+            interpreter=walk,
+            encodings=db.encodings,
+        )[-1]
         report.replay_equivalent = states_equivalent(
             mgr.initial, db.current, replayed
         )

@@ -236,9 +236,9 @@ class TestManagerIntegration:
                 mgr.submit(programs["put_a"], 9, 9)
             assert exc.value.depth == 2
             release.set()
-            assert holder.result().ok
-            assert all(f.result().ok for f in queued)
-        assert mgr.verify_serializable()
+            outcomes = [f.result() for f in (holder, *queued)]
+            assert all(o.ok for o in outcomes)
+        assert mgr.verify_serializable(outcomes)
         depth = db.metrics.get("repro_admission_depth")
         assert depth is not None and depth.value == 0
         rejected = db.metrics.get("repro_admission_rejected_total")
@@ -266,9 +266,9 @@ class TestManagerIntegration:
             assert shed_outcome.status is TransactionStatus.ABORTED
             assert isinstance(shed_outcome.error, Overloaded)
             assert shed_outcome.attempts == 0  # never evaluated
-            assert holder.result().ok
-            assert newer.result().ok and newest.result().ok
-        assert mgr.verify_serializable()
+            outcomes = [f.result() for f in (holder, newer, newest)]
+            assert all(o.ok for o in outcomes)
+        assert mgr.verify_serializable(outcomes + [shed_outcome])
         assert db.metrics.get("repro_admission_shed_total").value == 1
 
     def test_breaker_opens_under_injected_conflict_storm(self, db, programs):
@@ -331,8 +331,9 @@ class TestManagerIntegration:
             chaos=chaos,
         )
         with mgr:
-            for i in range(3):
-                mgr.submit(programs["put_a"], i, i).result()
+            outcomes = [
+                mgr.submit(programs["put_a"], i, i).result() for i in range(3)
+            ]
             assert breaker.state in ("open", "half_open")
             chaos.storming = False
             # cooldown=0: the next submission is the half-open probe; its
@@ -340,8 +341,9 @@ class TestManagerIntegration:
             probe = mgr.submit(programs["put_a"], 10, 10).result()
             assert probe.ok
             assert breaker.state == "closed"
-            assert mgr.submit(programs["put_a"], 11, 11).result().ok
-        assert mgr.verify_serializable()
+            last = mgr.submit(programs["put_a"], 11, 11).result()
+            assert last.ok
+        assert mgr.verify_serializable(outcomes + [probe, last])
 
     def test_admission_adopts_database_metrics(self, db, programs):
         ctl = AdmissionController(max_pending=4)

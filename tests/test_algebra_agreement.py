@@ -567,8 +567,7 @@ class TestGroupAggregateCorners:
 
         monkeypatch.setattr(QueryPlanner, "_cached", counting)
         domain.install_constraints("allocation-within-limit")
-        db = Database(domain.schema, window=3, initial=domain.sample_state(),
-                      record_graph=False)
+        db = Database(domain.schema, window=3, initial=domain.sample_state())
         db.enable_planner(verify=True)
         for _ in range(4):
             db.execute(domain.birthday, "alice")  # EMP only

@@ -541,9 +541,7 @@ class TestDerivedCache:
         domain.install_constraints(
             "allocation-within-limit", "skill-retention", "dept-deletion-precondition"
         )
-        db = Database(
-            domain.schema, window=3, initial=domain.sample_state(), record_graph=False
-        )
+        db = Database(domain.schema, window=3, initial=domain.sample_state())
         planner = db.enable_planner()
         for round_no in range(8):
             db.execute(domain.birthday, "alice")

@@ -432,10 +432,11 @@ class TestSchedulerSoundness:
         ) as mgr:
             victim = mgr.submit(d.fire, "bob", on_evaluated=gate)
             assert evaluated.wait(10)
-            assert mgr.execute(program, *args).ok
+            winner = mgr.execute(program, *args)
+            assert winner.ok
             release.set()
             outcome = victim.result(timeout=10)
         assert planner.exec_count >= 3
         assert outcome.ok and outcome.attempts == 2
         assert rel in outcome.conflicts[0]
-        assert mgr.verify_serializable()
+        assert mgr.verify_serializable([winner, outcome])

@@ -188,7 +188,7 @@ class TestEngineBudget:
         with pytest.raises(BudgetExceeded):
             db.execute(runaway, budget=Budget(max_steps=20))
         assert db.current is before
-        assert db.records == []  # never reached constraint checking
+        assert db.last_record is None  # never reached constraint checking
 
     def test_budget_template_not_consumed_across_calls(self):
         schema, state = big_state(5)
@@ -196,9 +196,10 @@ class TestEngineBudget:
         ok = transaction("ok", (), sweep())
         budget = Budget(max_steps=10_000)
         db.execute(ok, budget=budget)
+        first = db.last_record
         db.execute(ok, budget=budget)  # same template, fresh meter each time
         assert budget.steps == 0
-        assert len(db.records) == 2
+        assert first is not None and db.last_record is not first
 
 
 class TestTypedHierarchy:

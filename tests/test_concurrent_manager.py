@@ -22,8 +22,10 @@ from repro.concurrent import (
     Deadline,
     TrackingInterpreter,
     quantile,
+    replay_states,
     written_relations,
 )
+from repro.db.evolution import chain_graph
 from repro.db.state import state_from_rows
 from repro.logic import builder as b
 from repro.transactions.program import query
@@ -155,7 +157,7 @@ class TestConflictRetry:
     def test_forced_conflict_is_detected_retried_and_committed(self, db, programs):
         """The acceptance scenario: a read/write conflict is detected, the
         victim retries under backoff, commits, and the conflict is recorded
-        in the commit log."""
+        in its commit record."""
         evaluated = threading.Event()
         release = threading.Event()
 
@@ -180,10 +182,10 @@ class TestConflictRetry:
         assert outcome.ok
         assert outcome.attempts == 2
         assert outcome.conflicts == (frozenset({"A"}),)
-        record = mgr.log[-1]
+        record = outcome.record
         assert record.label == "victim" and record.retried
         assert record.conflicts == (frozenset({"A"}),)
-        assert mgr.log.serial_order() == ("winner", "victim")
+        assert (winner.record.seq, record.seq) == (1, 2)
         assert len(db.current.relation("A")) == 2
 
         snap = mgr.stats.snapshot()
@@ -233,8 +235,9 @@ class TestConflictRetry:
         assert isinstance(outcome.error, RetryExhausted)
         assert outcome.error.relations == {"A"}
         assert mgr.stats.snapshot().aborts == 1
-        # The victim never committed: only winners are in the log.
-        assert all(r.label == "winner" for r in mgr.log)
+        # The victim never committed: only the winners did.
+        assert outcome.record is None
+        assert mgr.version == counter["n"]
 
     def test_failed_transaction_is_not_retried(self, db):
         x = b.atom_var("x")
@@ -270,7 +273,7 @@ class TestConflictRetry:
         assert bad.status is TransactionStatus.FAILED
         assert good.ok
         assert len(db.current.relation("A")) == 0
-        assert len(mgr.log) == 1
+        assert bad.record is None and mgr.version == 1
         assert good.record.constraint_results == (("a-stays-empty", True),)
         assert before != db.current  # B advanced
 
@@ -292,32 +295,45 @@ class TestConflictRetry:
 
 
 # ---------------------------------------------------------------------------
-# Commit log
+# Commit records and serial replay
 # ---------------------------------------------------------------------------
 
 
 class TestCommitLog:
     def test_replay_reconstructs_final_state(self, db, programs):
         with db.concurrent(workers=4, seed=3) as mgr:
-            mgr.run_all([(programs["put_a"], i, i) for i in range(6)])
-            mgr.run_all([(programs["move"], 2, 2), (programs["put_b"], 9, 9)])
-            assert mgr.verify_serializable()
-        assert len(mgr.log) == 8
-        assert {r.seq for r in mgr.log} == set(range(1, 9))
+            outcomes = mgr.run_all([(programs["put_a"], i, i) for i in range(6)])
+            outcomes += mgr.run_all(
+                [(programs["move"], 2, 2), (programs["put_b"], 9, 9)]
+            )
+            assert mgr.verify_serializable(outcomes)
+        assert mgr.version == 8
+        assert {o.record.seq for o in outcomes} == set(range(1, 9))
+
+    def test_verify_serializable_needs_every_commit(self, db, programs):
+        with db.concurrent(workers=2, seed=3) as mgr:
+            outcomes = mgr.run_all([(programs["put_a"], i, i) for i in range(4)])
+            assert mgr.verify_serializable(outcomes)
+            with pytest.raises(ValueError, match="1..4"):
+                mgr.verify_serializable(outcomes[:2] + outcomes[3:])
+            with pytest.raises(ValueError):
+                mgr.verify_serializable(outcomes + outcomes[:1])
 
     def test_log_graph_is_the_winning_path(self, db, programs):
         with db.concurrent(workers=2) as mgr:
-            mgr.execute(programs["put_a"], 1, 1)
-            mgr.execute(programs["put_b"], 2, 2)
-        graph = mgr.log.to_graph(mgr.initial)
+            a = mgr.execute(programs["put_a"], 1, 1)
+            b_ = mgr.execute(programs["put_b"], 2, 2)
+        records = [a.record, b_.record]
+        graph = chain_graph(
+            replay_states(mgr.initial, records), [r.label for r in records]
+        )
         assert len(graph) == 3  # initial + 2 commits
         assert graph.edge_count() == 2
 
     def test_records_carry_footprints_and_versions(self, db, programs):
         with db.concurrent(workers=1) as mgr:
-            mgr.execute(programs["put_a"], 1, 1)
-            mgr.execute(programs["put_b"], 2, 2)
-        first, second = mgr.log.records()
+            first = mgr.execute(programs["put_a"], 1, 1).record
+            second = mgr.execute(programs["put_b"], 2, 2).record
         assert first.write_set == {"A"} and first.snapshot_version == 0
         assert second.write_set == {"B"} and second.snapshot_version == 1
         assert first.latency >= 0.0
@@ -372,7 +388,7 @@ class TestEngineIntegration:
         with db.concurrent(workers=4, seed=5) as mgr:
             mgr.run_all([(programs["put_a"], i, i) for i in range(7)])
         assert len(db.history) == 2  # window=2
-        assert len(db.records) == 7
+        assert mgr.version == 7 and db.last_record.ok
 
     def test_encoding_writes_join_committed_write_sets(self, programs):
         """A history encoding's log relation is written at commit time; the
@@ -497,7 +513,7 @@ class TestGovernance:
         release.set()
         outcome = fut.result(timeout=10)
         assert outcome.ok
-        assert mgr.verify_serializable()
+        assert mgr.verify_serializable([outcome])
 
     def test_submit_after_close_without_wait_is_typed(self, db, programs):
         from repro import SchedulerClosed

@@ -1,5 +1,5 @@
 """Satellite coverage: quantile edges, states_equivalent bookkeeping,
-per-relation conflict stats, and commit-log indexing."""
+and per-relation conflict stats."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro import Database, Schema, transaction
 from repro.concurrent import ConcurrencyStats, quantile, states_equivalent
-from repro.concurrent.log import CommitLog
 from repro.db.state import State, state_from_rows
 from repro.logic import builder as b
 
@@ -265,66 +264,3 @@ class TestConflictRelationStats:
         if mgr.stats.conflicts:  # the interleaving fired: A is the culprit
             assert set(by_relation) == {"A"}
             assert mgr.stats.snapshot().top_conflicts[0][0] == "A"
-
-
-# ---------------------------------------------------------------------------
-# commit-log indexing
-# ---------------------------------------------------------------------------
-
-
-def _filled_log(schema, n=5):
-    x, y = b.atom_var("x"), b.atom_var("y")
-    put = transaction("put-a", (x, y), b.insert(b.mktuple(x, y), "A"))
-    db = Database(schema, window=2)
-    with db.concurrent(workers=1, seed=5) as mgr:
-        for i in range(n):
-            assert mgr.execute(put, i, i).ok
-    return mgr.log
-
-
-class TestCommitLogIndexing:
-    def test_negative_indices(self, schema):
-        log = _filled_log(schema)
-        assert log[-1].seq == 5 and log[-5].seq == 1
-        assert log[-1] == log[4]
-
-    def test_slices_return_tuples(self, schema):
-        log = _filled_log(schema)
-        assert [r.seq for r in log[1:3]] == [2, 3]
-        assert [r.seq for r in log[::2]] == [1, 3, 5]
-        assert [r.seq for r in log[::-1]] == [5, 4, 3, 2, 1]
-        assert isinstance(log[1:3], tuple)
-        assert log[3:2] == ()
-
-    def test_out_of_range_raises(self, schema):
-        log = _filled_log(schema)
-        with pytest.raises(IndexError):
-            log[5]
-        with pytest.raises(IndexError):
-            log[-6]
-
-    def test_tail(self, schema):
-        log = _filled_log(schema)
-        assert [r.seq for r in log.tail(2)] == [4, 5]
-        assert [r.seq for r in log.tail(99)] == [1, 2, 3, 4, 5]
-        assert log.tail(0) == () and log.tail(-3) == ()
-        assert CommitLog().tail(4) == ()
-
-    def test_negative_slices_match_list_semantics(self, schema):
-        log = _filled_log(schema)
-        records = list(log)
-        for sl in (
-            slice(-2, None),
-            slice(None, -2),
-            slice(-4, -1),
-            slice(-1, -4),
-            slice(-99, 99),
-            slice(None, None, -2),
-        ):
-            assert log[sl] == tuple(records[sl]), sl
-
-    def test_tail_matches_negative_slice(self, schema):
-        log = _filled_log(schema)
-        for n in range(-2, 8):
-            expected = log[-n:] if n > 0 else ()
-            assert log.tail(n) == expected

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, RetryPolicy, Schema, transaction
-from repro.concurrent import states_equivalent
+from repro.concurrent import replay_states, states_equivalent
 from repro.logic import builder as b
 
 RELS = ("A", "B", "C")
@@ -90,13 +90,14 @@ def test_accepted_interleavings_are_serializable(workload, workers):
     # Constraint-free workload with a generous retry budget: everything
     # must commit.
     assert all(o.ok for o in outcomes)
-    assert len(mgr.log) == len(workload)
+    records = [o.record for o in outcomes]
+    assert sorted(r.seq for r in records) == list(range(1, len(workload) + 1))
 
-    # The commit log is the witness: serial replay in commit order yields
-    # the concurrently reached state.
-    replayed = mgr.log.replay(mgr.initial, interpreter=db.interpreter)
-    assert states_equivalent(mgr.initial, db.current, replayed)
-    assert mgr.verify_serializable()
+    # The committed records are the witness: serial replay in commit order
+    # yields the concurrently reached state.
+    replayed = replay_states(mgr.initial, records, interpreter=db.interpreter)
+    assert states_equivalent(mgr.initial, db.current, replayed[-1])
+    assert mgr.verify_serializable(outcomes)
 
 
 @settings(max_examples=15, deadline=None)
@@ -113,7 +114,8 @@ def test_single_worker_matches_sequential_execution(workload):
         serial_db.execute(program, *args)
 
     assert all(o.ok for o in outcomes)
-    assert mgr.log.serial_order() == tuple(
+    assert [o.record.seq for o in outcomes] == list(range(1, len(workload) + 1))
+    assert tuple(o.record.label for o in outcomes) == tuple(
         PROGRAMS[index].name for index, _, _ in workload
     )
     assert states_equivalent(mgr.initial, db.current, serial_db.current)
@@ -130,6 +132,6 @@ def test_contended_single_relation_workload_serializes(workers):
         outcomes = mgr.run_all([(put_a, i, i) for i in range(20)])
     assert all(o.ok for o in outcomes)
     assert len(db.current.relation("A")) == 20
-    assert mgr.verify_serializable()
+    assert mgr.verify_serializable(outcomes)
     snap = mgr.stats.snapshot()
     assert snap.commits == 20 and snap.aborts == 0

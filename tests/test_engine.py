@@ -32,7 +32,7 @@ class TestEnforcement:
         before = db.current
         db.execute(domain.set_salary, "alice", 150)
         assert db.current != before
-        assert len(db.records) == 1 and db.records[0].ok
+        assert db.last_record.label == "set-salary" and db.last_record.ok
 
     def test_violation_rolls_back(self, domain, db):
         before = db.current
@@ -40,6 +40,8 @@ class TestEnforcement:
             db.execute(domain.hire, "eve", "cs", 90, 25, "S")  # unallocated
         assert "every-employee-allocated" in str(err.value)
         assert db.current == before
+        # The rejected commit's record is the newest one.
+        assert db.last_record.label == "hire" and not db.last_record.ok
 
     def test_try_execute_reports(self, domain, db):
         ok, state = db.try_execute(domain.hire, "eve", "cs", 90, 25, "S")
@@ -77,19 +79,13 @@ class TestEnforcement:
         with pytest.raises(ConstraintViolation):
             db.execute(age_and_single, label="bad")
 
-    def test_graph_records_transitions(self, domain, db):
-        db.execute(domain.set_salary, "alice", 150)
-        db.execute(domain.birthday, "bob")
-        assert db.graph is not None
-        assert db.graph.edge_count() == 2
-
 
 class TestWindows:
     def test_constraint_needing_more_history_is_skipped(self, domain):
         domain.schema.add_constraint(domain.salary_decrease_needs_dept_change())
         db = Database(domain.schema, window=2, initial=domain.sample_state())
         db.execute(domain.set_salary, "alice", 150)
-        skipped = db.records[0].skipped
+        skipped = db.last_record.skipped
         assert any(s.constraint.name == "salary-decrease-needs-dept-change" for s in skipped)
 
     def test_strict_mode_raises_instead(self, domain):
@@ -104,7 +100,7 @@ class TestWindows:
         domain.schema.add_constraint(domain.salary_decrease_needs_dept_change())
         db = Database(domain.schema, window=3, initial=domain.sample_state())
         db.execute(domain.set_salary, "alice", 150)
-        assert not db.records[0].skipped
+        assert not db.last_record.skipped
         with pytest.raises(ConstraintViolation):
             db.execute(domain.set_salary, "alice", 100)
 
@@ -112,7 +108,7 @@ class TestWindows:
         domain.schema.add_constraint(domain.invertibility())
         db = Database(domain.schema, window=2, initial=domain.sample_state())
         db.execute(domain.set_salary, "alice", 150)
-        (skip,) = db.records[0].skipped
+        (skip,) = db.last_record.skipped
         assert "not checkable" in skip.reason
 
     def unenforced(self, db):
@@ -128,7 +124,7 @@ class TestWindows:
         assert warning.constraint == "skill-retention" and "keeps 1" in warning.reason
         assert self.unenforced(db) == 1
         db.execute(domain.birthday, "alice")
-        assert [s.constraint.name for s in db.records[0].skipped] == ["skill-retention"]
+        assert [s.constraint.name for s in db.last_record.skipped] == ["skill-retention"]
 
     def test_an_enforced_schema_is_silent(self, domain):
         domain.install_constraints("every-employee-allocated", "skill-retention")
@@ -205,33 +201,32 @@ class TestQueries:
 
 class TestEncodingGraphConsistency:
     def test_register_encoding_records_replacement_in_graph(self, domain):
-        """Registering an encoding mid-run replaces history.states[-1]; the
-        evolution graph must record that replacement instead of silently
-        diverging from the history."""
+        """Registering an encoding mid-run replaces history.states[-1]: the
+        prepared state is the head, and the next commit's window (and so
+        the window's graph) starts there."""
         db = Database(domain.schema, window=2, initial=domain.sample_state())
-        start = db.current
         db.execute(domain.set_salary, "alice", 150)
         pre_registration = db.current
         db.register_encoding(domain.fire_encoding())
         prepared = db.current
 
         assert prepared != pre_registration  # the FIRE relation was added
-        assert prepared in db.graph.states()
-        labels = [
-            t.label for t in db.graph.direct_transitions_from(pre_registration)
-        ]
-        assert "register-encoding:FIRE" in labels
-        assert db.graph.reachable(start, prepared)
+        assert prepared.has_relation("FIRE")
+        assert db.history.states[-1] is prepared
 
-        # Subsequent executions chain off the prepared node.
+        # The next execution chains off the prepared state.
         db.execute(domain.fire, "dan")
-        assert db.graph.reachable(prepared, db.current)
+        assert db.history.states[0] is prepared
+        graph = db.history.to_graph()
+        assert graph.reachable(prepared, db.current)
+        assert [t.label for t in graph.direct_transitions_from(prepared)] == ["fire"]
 
     def test_register_encoding_on_fresh_db_stays_consistent(self, domain):
         db = Database(domain.schema, window=2, initial=domain.sample_state())
         db.register_encoding(domain.fire_encoding())
-        assert db.current in db.graph.states()
-        assert db.history.current == db.current
+        assert db.current.has_relation("FIRE")
+        assert db.history.current is db.current
+        assert len(db.history) == 1
 
 
 class TestLazyCandidate:
@@ -260,7 +255,7 @@ class TestLazyCandidate:
 
         monkeypatch.setattr(History, "fork", explode)
         db.execute(domain.set_salary, "alice", 150)
-        (skip,) = db.records[0].skipped
+        (skip,) = db.last_record.skipped
         assert "verified preserved" in skip.reason
 
     def test_candidate_forked_once_when_checking(self, domain, monkeypatch):
@@ -280,7 +275,7 @@ class TestLazyCandidate:
         monkeypatch.setattr(History, "fork", counting)
         db.execute(domain.set_salary, "alice", 150)
         assert len(forks) == 1  # one fork serves every checked constraint
-        assert db.records[0].ok and len(db.records[0].results) == 2
+        assert db.last_record.ok and len(db.last_record.results) == 2
 
 
 class TestRehearseMatchesApply:

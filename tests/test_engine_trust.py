@@ -21,7 +21,7 @@ class TestTrust:
     def test_verify_and_trust_on_provable_pair(self, domain, db):
         assert db.verify_and_trust(domain.once_married(), domain.add_skill)
         db.execute(domain.add_skill, "alice", 7)
-        record = db.records[-1]
+        record = db.last_record
         skipped_names = {s.constraint.name for s in record.skipped}
         assert "once-married" in skipped_names
         checked_names = {r.constraint.name for r in record.results}
@@ -30,7 +30,7 @@ class TestTrust:
     def test_untrusted_pairs_still_checked(self, domain, db):
         db.verify_and_trust(domain.once_married(), domain.add_skill)
         db.execute(domain.birthday, "alice")  # a different transaction
-        record = db.records[-1]
+        record = db.last_record
         assert "once-married" in {r.constraint.name for r in record.results}
 
     def test_model_checked_verdict_not_auto_trusted(self, domain, db):
@@ -46,7 +46,7 @@ class TestTrust:
     def test_explicit_trust_accepted(self, domain, db):
         db.trust("skill-retention", "cancel-project")
         db.execute(domain.cancel_project, "net", 10)
-        record = db.records[-1]
+        record = db.last_record
         assert "skill-retention" in {s.constraint.name for s in record.skipped}
 
     def test_trusted_check_reduces_work(self, domain, db):
@@ -54,9 +54,9 @@ class TestTrust:
         before = db.verify_and_trust(domain.once_married(), domain.add_skill)
         assert before
         db.execute(domain.add_skill, "bob", 3)
-        with_trust = len(db.records[-1].results)
+        with_trust = len(db.last_record.results)
 
         db2 = Database(domain.schema, window=2, initial=domain.sample_state())
         db2.execute(domain.add_skill, "bob", 3)
-        without_trust = len(db2.records[-1].results)
+        without_trust = len(db2.last_record.results)
         assert with_trust < without_trust

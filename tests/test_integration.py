@@ -68,10 +68,13 @@ class TestScaledEnforcement:
         db = Database(
             domain.schema, window=2, initial=employee_state(domain, 20)
         )
-        db.execute(domain.add_skill, "emp3", 5)
-        db.execute(domain.set_salary, "emp3", 500)
-        db.execute(domain.birthday, "emp7")
-        assert all(record.ok for record in db.records)
+        for program, *args in (
+            (domain.add_skill, "emp3", 5),
+            (domain.set_salary, "emp3", 500),
+            (domain.birthday, "emp7"),
+        ):
+            db.execute(program, *args)
+            assert db.last_record.ok
         with pytest.raises(ConstraintViolation):
             db.execute(domain.hire, "stray", "cs", 50, 30, "S")
 
@@ -109,7 +112,7 @@ class TestVerifyThenRun:
         db = Database(domain.schema, window=2, initial=domain.sample_state())
         for i in range(5):
             db.execute(domain.add_skill, "alice", i + 1)
-        assert all(record.ok for record in db.records)
+            assert db.last_record.ok
 
     def test_violated_verdict_predicts_runtime_rollback(self):
         domain = make_domain()

@@ -1,0 +1,151 @@
+"""Memory is O(window): a running database keeps the history window and its
+newest commit record, never the whole run.
+
+Each test makes 50 commits, holds only weak references to what they
+produced, drops the outcomes and collects garbage.  What is still alive is
+what the database (or the scheduler, or a shard) keeps:
+
+* no :class:`~repro.concurrent.log.CommitRecord` — the scheduler keeps
+  none; each record rides on its outcome;
+* at most ``window`` of the committed states — the history window;
+* one :class:`~repro.engine.ExecutionRecord` — ``Database.last_record``.
+
+Records are tracked by swapping the record classes, where the engine, the
+scheduler and the sharding layer look them up, for subclasses that register
+a weak reference to every instance.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+import repro.concurrent.scheduler as scheduler_module
+import repro.engine as engine_module
+import repro.sharding.sharded as sharded_module
+from repro import Database, Schema, transaction
+from repro.concurrent.log import CommitRecord
+from repro.engine import ExecutionRecord
+from repro.logic import builder as b
+from repro.sharding import ShardedDatabase
+
+WINDOW = 2
+COMMITS = 50
+
+
+@pytest.fixture()
+def schema():
+    s = Schema()
+    s.add_relation("A", ("k", "v"))
+    s.add_relation("B", ("k", "v"))
+    return s
+
+
+@pytest.fixture()
+def programs():
+    x, y = b.atom_var("x"), b.atom_var("y")
+    return {
+        "put_a": transaction("put-a", (x, y), b.insert(b.mktuple(x, y), "A")),
+        "put_b": transaction("put-b", (x, y), b.insert(b.mktuple(x, y), "B")),
+        # Two relations: a cross-shard (2PC) commit when A and B are apart.
+        "put_ab": transaction(
+            "put-ab",
+            (x, y),
+            b.seq(
+                b.insert(b.mktuple(x, y), "A"),
+                b.insert(b.mktuple(y, x), "B"),
+            ),
+        ),
+    }
+
+
+@pytest.fixture()
+def tracked(monkeypatch):
+    """Weak references to every CommitRecord / ExecutionRecord made."""
+    made: dict[str, list[weakref.ref]] = {"commit": [], "execution": []}
+
+    class TrackedCommitRecord(CommitRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made["commit"].append(weakref.ref(self))
+
+    class TrackedExecutionRecord(ExecutionRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made["execution"].append(weakref.ref(self))
+
+    monkeypatch.setattr(scheduler_module, "CommitRecord", TrackedCommitRecord)
+    monkeypatch.setattr(sharded_module, "CommitRecord", TrackedCommitRecord)
+    monkeypatch.setattr(engine_module, "ExecutionRecord", TrackedExecutionRecord)
+    return made
+
+
+def alive(refs) -> list:
+    gc.collect()
+    return [obj for ref in refs if (obj := ref()) is not None]
+
+
+class TestSingleNode:
+    def test_the_scheduler_keeps_no_commit_record_and_only_the_window(
+        self, schema, programs, tracked
+    ):
+        db = Database(schema, window=WINDOW)
+        states = []
+        with db.concurrent(workers=1) as mgr:
+            for i in range(COMMITS):
+                outcome = mgr.execute(programs["put_a"], i, i)
+                assert outcome.ok and outcome.record.seq == i + 1
+                states.append(weakref.ref(outcome.state))
+            del outcome
+            assert len(tracked["commit"]) == COMMITS
+            assert alive(tracked["commit"]) == []
+            kept = alive(states)
+            assert len(kept) <= WINDOW
+            assert kept[-1] is db.current
+            del kept
+            (newest,) = alive(tracked["execution"])
+            assert newest is db.last_record
+
+    def test_execute_keeps_only_the_newest_execution_record(
+        self, schema, programs, tracked
+    ):
+        db = Database(schema, window=WINDOW)
+        states = []
+        for i in range(COMMITS):
+            states.append(weakref.ref(db.execute(programs["put_a"], i, i)))
+        assert len(tracked["execution"]) == COMMITS
+        newest = alive(tracked["execution"])
+        assert len(newest) == 1 and newest[0] is db.last_record
+        assert newest[0].label == "put-a"
+        del newest
+        assert len(alive(states)) <= WINDOW
+
+
+class TestShards:
+    def test_each_shard_keeps_only_its_window_and_newest_record(
+        self, schema, programs, tracked
+    ):
+        sdb = ShardedDatabase(
+            schema, shards=2, window=WINDOW, placement={"A": 0, "B": 1}
+        )
+        per_shard: dict[int, list[weakref.ref]] = {0: [], 1: []}
+        for i in range(COMMITS):
+            program = programs[("put_a", "put_b", "put_ab")[i % 3]]
+            outcome = sdb.execute_outcome(program, i, i)
+            assert outcome.ok
+            for shard in sdb.shards:
+                refs = per_shard[shard.index]
+                if not refs or refs[-1]() is not shard.db.current:
+                    refs.append(weakref.ref(shard.db.current))
+        del outcome
+        assert tracked["commit"] and alive(tracked["commit"]) == []
+        newest = alive(tracked["execution"])
+        assert len(newest) == len(sdb.shards)
+        assert sorted(map(id, newest)) == sorted(
+            id(shard.db.last_record) for shard in sdb.shards
+        )
+        del newest
+        for refs in per_shard.values():
+            assert len(alive(refs)) <= WINDOW

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import Database, Schema, transaction
-from repro.concurrent.log import states_equivalent
+from repro.concurrent.log import replay_states, states_equivalent
 from repro.errors import ConstraintViolation, ReproError
 from repro.logic import builder as b
 from repro.storage import Store, state_digest
@@ -233,7 +233,8 @@ class TestCheckpointRecovery:
 class TestConcurrentDurability:
     def test_concurrent_workload_journal_matches_commit_log(self, tmp_path):
         """Journaled through TransactionManager: every crash point recovers
-        a state equivalent to a prefix of CommitLog.replay_states."""
+        a state equivalent to a prefix of the committed records' serial
+        replay."""
         schema = put_schema(4)
         programs = put_programs(4)
         db = Database(schema, window=2)
@@ -244,22 +245,22 @@ class TestConcurrentDurability:
                 think_time=0.001,
             )
             assert all(o.ok for o in outcomes)
-            replayed = mgr.log.replay_states(
+            committed = sorted((o.record for o in outcomes), key=lambda r: r.seq)
+            replayed = replay_states(
                 mgr.initial,
+                committed,
                 interpreter=db.interpreter,
                 encodings=db.encodings,
             )
         db.close()
-        # The journal's logical layer mirrors the commit log's serial order.
+        # The journal's logical layer mirrors the serial commit order.
         from repro.storage.journal import read_journal
 
         records = read_journal(
             Store(tmp_path / "store").journal_path
         ).records
-        assert [r.label for r in records] == list(mgr.log.serial_order())
-        assert [r.seq for r in records] == [
-            rec.seq for rec in mgr.log.records()
-        ]
+        assert [r.label for r in records] == [rec.label for rec in committed]
+        assert [r.seq for r in records] == [rec.seq for rec in committed]
         # Crash at record boundaries plus sampled torn offsets.
         offsets = set(faults.record_boundaries(tmp_path / "store"))
         offsets.update(faults.torn_points(tmp_path / "store", stride=31))
