@@ -192,7 +192,9 @@ class WindowQuery:
     them; ``checks`` the integer columns under which no predicate raises;
     ``regressed`` one ``(relation, arity, label)`` per state term
     ``w;delete(v, R)`` rewritten away — the executor shows, at each state,
-    that the axioms used describe the interpreter there.
+    that the axioms used describe the interpreter there; ``reads`` the
+    residuals' read set as ``(relations, arities)`` — what a state term's
+    residual verdicts can depend on, ``None`` when no footprint bounds it.
     No tuple variable (a static ``forall s. s::p``) is the degenerate plan:
     no join, one empty row per state, ``p`` a residual of the conclusion."""
 
@@ -203,6 +205,7 @@ class WindowQuery:
     conclusion: tuple  # Member | Cmp | Disj | Residual
     checks: tuple = ()
     regressed: tuple[tuple[str, int, str], ...] = ()
+    reads: Optional[tuple[frozenset, frozenset]] = (frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -973,7 +976,25 @@ def compile_window(formula: Forall, interp=None) -> WindowQuery:
     if not all(groups):
         raise Incompilable("a tuple variable of the prefix is unused")
     shape = (preds, residuals, conclusion, dict.fromkeys(checks), dict.fromkeys(regressed))
-    return WindowQuery(tuple(terms), groups, *map(tuple, shape))
+    every = [*residuals, *(p for p in conclusion if isinstance(p, Residual))]
+    return WindowQuery(tuple(terms), groups, *map(tuple, shape), _reads(every))
+
+
+def _reads(residuals) -> Optional[tuple[frozenset, frozenset]]:
+    """The relations and the arity classes the ``residuals`` can read at
+    their state: the union of their footprints (:mod:`repro.eval.footprint`),
+    or ``None`` when one of them is not bounded by any."""
+    from repro.eval.footprint import fluent_footprint
+
+    names: set = set()
+    arities: set = set()
+    for r in residuals:
+        footprint = fluent_footprint(r.formula)
+        if not footprint.bounded:
+            return None
+        names |= footprint.relations
+        arities |= footprint.arities
+    return frozenset(names), frozenset(arities)
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,29 @@ A commit shifts the window by one state, so a window plan remembers the
 last window it held over (:meth:`QueryPlanner.held`).  When the model is a
 chain whose leading states are a contiguous run of that window, an
 assignment binding only those states joins just the rows with a *fresh*
-candidate — one whose ``(tid, values)`` the held window lacked — and a
-static constraint runs at the new head only; any other assignment, and any
-other model, runs in full.  Exact, errors included: those rows were all
-evaluated over the held window, at the same states, and none raised or
-violated.  The checks above still run over the whole window.
+candidate — one whose ``(tid, values)`` the held window lacked.  When the
+run is every state but the new head ``h``, an assignment binding ``h`` is,
+with ``h`` read as the previous head ``p``, one the held window covered
+too: it joins just the rows with a *dirty* candidate — fresh, dereferenced
+differently at ``h`` than at ``p``, or with a value that entered or left a
+relation a ``Member`` tests — unless a relation the plan's residuals read
+changed, which runs the head in full (:func:`_head_split`).  Any other
+assignment, and any other model, runs in full.  Exact, errors included:
+the rows skipped read what rows the held window evaluated read, and none
+of those raised or violated.  The prelude — fit, column types, the
+dereference tables, the read set — still covers the whole window.
+
+A closed ``forall`` f-plan does the same one state at a time: it keeps a
+weak reference to the last state it held at, and at a new state tests only
+the guard rows whose value, body key or group key the change since then
+can reach (:func:`_forall_dirty`), in canonical order, after the same
+``_open`` and enumeration checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from repro.db.values import DBTuple, TupleSet
 from repro.errors import (
@@ -588,17 +601,87 @@ def run_forall(planner, interp, state, env, q: ForallQuery) -> bool:
     # Candidates outside R pass the guard's membership vacuously; the rest
     # are checked in canonical order, stopping at the first violation.
     rows = list(_probe_table(planner, ctx, guard, q.guard_preds)([None, None]))
-    if not rows:
-        return True
+    held = None if q.params else planner.held(q)
+    dirty = _forall_dirty(planner, ctx, q, held and held[0] and held[0]())
+    planner._delta("forall", dirty is not None)
+    if dirty is not None:
+        rows = [row for row in rows if dirty(row)]
     body = None
-    if q.body_level is not None:
+    if q.body_level is not None and rows:
         body = _probe_table(planner, ctx, q.body_level, q.body_preds)
     for row in rows:
         if not all(_holds(ctx, row, p) for p in q.pre_preds):
             return False
         if body is not None and any(body(row)) == q.negated:
             return False
+    if held is not None:
+        held[0] = weakref.ref(state)
     return True
+
+
+def _forall_dirty(planner, ctx: Ctx, q: ForallQuery, before):
+    """The test a guard row must pass to be checked at ``ctx.state``, given
+    ``before``, a state the closed ``forall`` ``q`` held at — or ``None``,
+    every row checked.  Every input of a row is a value: the row's own,
+    the body matches under its equi key, the groups under its aggregates'
+    keys.  A row whose value ``before`` had, whose body key no value that
+    entered or left the body relation carries, and whose group keys no
+    such value of an aggregated relation carries, reads what it read at
+    ``before`` — where no row violated and none raised.  A body level
+    without an equi key is one key: any change to its relation makes
+    every row dirty."""
+    if before is None:
+        return None
+    state = ctx.state
+    levels = [Level(q.var, 0, q.rel, q.arity), *q.aggs]
+    if q.body_level is not None:
+        levels.append(q.body_level)
+    for lv in levels:
+        relation = before.relations.get(lv.rel)
+        if relation is None or relation.arity != lv.arity:
+            return None
+        if isinstance(lv, GroupAgg) and any(_expr_slots(o) - {0} for o, _ in lv.keys):
+            return None  # grouped by the body row: no key per guard row
+
+    def touched(name, key) -> set:
+        """The keys of the values that entered or left ``name``."""
+        old, new = before.relations[name], state.relations[name]
+        if old is new:
+            return set()
+        diff = planner.values_of(old) ^ planner.values_of(new)
+        return {key(DBTuple(None, values)) for values in diff}
+
+    tests = []
+    guard_old = before.relations[q.rel]
+    if guard_old is not state.relations[q.rel]:
+        known = planner.values_of(guard_old)
+        tests.append(lambda row: row[0].values not in known)
+    keyed = []  # (key over a guard row, keys the change touched)
+    try:
+        if q.body_level is not None:
+            keys = split_preds(q.body_preds, {1})[1]
+            keyed.append((
+                [other for other, _ in keys],
+                touched(q.body_level.rel, lambda u: tuple(
+                    _key_of(_value(ctx, [None, u], mine)) for _, mine in keys
+                )),
+            ))
+        bare = Ctx(ctx.interp, None, {})
+        for agg in q.aggs:
+            keyed.append((
+                [other for other, _ in agg.keys],
+                touched(agg.rel, lambda u, agg=agg: tuple(
+                    _key_of(_value(bare, (u,), mine)) for _, mine in agg.keys
+                )),
+            ))
+    except EvaluationError:
+        return None  # a departed value the scan would never have keyed
+    for others, hit in keyed:
+        if hit:
+            tests.append(lambda row, others=others, hit=hit: tuple(
+                _key_of(_value(ctx, row, other)) for other in others
+            ) in hit)
+    return lambda row: any(test(row) for test in tests)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +791,8 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
     domains = {a: model.tuple_domain(a) for a in {g[0].var.sort.arity for g in q.groups}}
     for arity, domain in domains.items():
         for state in states:
-            found = [state.lookup_tuple(c.tid) or c for c in domain]
+            tids = planner.tids_of(state)
+            found = [tids.get(c.tid) or c for c in domain]
             if any(t.arity != arity for t in found):
                 raise Unplannable("identifier reused across arities")
             if interp.budget is not None:
@@ -734,6 +818,7 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
     last = held[0]
     chain = _is_chain(model.graph, states)
     covered = _covered(last, states) if chain else 0
+    head = None
     if covered:
         planner._count("repro_planner_window_total", "window_shift", mode="shift")
         # Candidate indices per arity: ``fresh`` ones the held window did
@@ -745,8 +830,11 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
                 split[(c.tid, c.values) in known].append(i)
             fresh[arity], old[arity] = split
         covered_ids = {id(state) for state in states[:covered]}
+        if covered == len(states) - 1:
+            head = _head_split(planner, q, states, derefs, members, fresh)
     else:
         planner._count("repro_planner_window_total", "window_full", mode="full")
+    planner._delta("window", covered == len(states) or head is not None)
     holds = True
     for bound in _assignments(model, states, q.terms):
         versions = {
@@ -758,6 +846,10 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
             # An assignment the held window covered: only rows with a
             # candidate it did not have can raise or violate.
             rows = _fresh_rows(ctx, q, stages, derefs, fresh, old)
+        elif head is not None:
+            # It binds the head; with the head read as the previous one it
+            # is an assignment the held window covered.
+            rows = _fresh_rows(ctx, q, stages, derefs, *head)
         else:
             rows = _window_rows(ctx, q, stages, derefs)
         # Every row is tested, found violations or not: a residual can
@@ -801,12 +893,55 @@ def _covered(held, states) -> int:
     return k if hops is None else min(k, max(hops, 1) + 1)
 
 
+def _head_split(planner, q: WindowQuery, states, derefs, members, fresh):
+    """Candidate indices per arity for the assignments that bind the head
+    ``h``, as ``(dirty, clean)``, or ``None`` when the head runs in full.
+
+    Read ``h`` as the previous head ``p`` and such an assignment is one the
+    held window covered, so a row reads at ``h`` what it read at ``p`` —
+    and was tested there, without a violation or an error — unless one of
+    its candidates is *dirty*: fresh, dereferenced to another identifier or
+    value at ``h`` than at ``p``, or with a value at ``h`` that entered or
+    left a relation a ``Member`` tests.  Residuals read whole relations at
+    their state: when a relation they can read changed, every row may read
+    something new, and so may every row when the relations themselves
+    differ."""
+    p, h = states[-2], states[-1]
+    if p.relations.keys() != h.relations.keys() or q.reads is None:
+        return None
+    names, arities = q.reads
+    for name, relation in h.relations.items():
+        if relation is not p.relations[name] and (
+            name in names or relation.arity in arities
+        ):
+            return None
+    moved: dict = {}  # arity -> the values that entered or left a tested relation
+    for m in members:
+        before, after = p.relations[m.rel], h.relations[m.rel]
+        if before is not after:
+            diff = planner.values_of(before) ^ planner.values_of(after)
+            moved.setdefault(m.arity, set()).update(diff)
+    dirty, clean = {}, {}
+    for arity, new in fresh.items():
+        new, gone, split = set(new), moved.get(arity, ()), ([], [])
+        pairs = zip(derefs[p, arity], derefs[h, arity])
+        for i, (before, after) in enumerate(pairs):
+            split[
+                i in new
+                or (before is not after and before != after)
+                or after.values in gone
+            ].append(i)
+        clean[arity], dirty[arity] = split
+    return dirty, clean
+
+
 def _fresh_rows(ctx: Ctx, q: WindowQuery, stages, derefs, fresh, old) -> list:
-    """The rows of a covered assignment with at least one fresh candidate,
-    each once: by the first tuple variable it binds to one — the variables
-    before it restricted to the ``old`` candidates, it to the ``fresh``,
-    those after it unrestricted.  No fresh candidate, no row; a plan
-    without tuple variables has none to bind."""
+    """The rows of a covered assignment with at least one fresh candidate
+    (at a seeded head: dirty, and ``old`` the clean ones), each once: by
+    the first tuple variable it binds to one — the variables before it
+    restricted to the ``old`` candidates, it to the ``fresh``, those after
+    it unrestricted.  No fresh candidate, no row; a plan without tuple
+    variables has none to bind."""
     arities = [group[0].var.sort.arity for group in q.groups]
     rows = []
     for i, arity in enumerate(arities):

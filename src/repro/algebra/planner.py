@@ -17,7 +17,11 @@ evaluation counts in ``repro_planner_evals_total`` as
 ``outcome="planned"`` or ``"fallback"``; :meth:`QueryPlanner.plan` says why.
 A window plan's run also counts in ``repro_planner_window_total`` as
 ``mode="shift"`` — it re-joined only what the window shift added — or
-``"full"``.
+``"full"``, and in ``repro_planner_delta_total`` as ``plan="window"``,
+``mode="seeded"`` when its head state was seeded from the previous head
+(only rows whose inputs changed are evaluated there) or ``"full"``; a
+``forall`` f-plan counts there as ``plan="forall"``, seeded from the last
+state it held at or run in full.
 
 Planning decisions — greedy join order, selection pushdown, hash-index
 use — read the state being planned: its relations' row counts, and the
@@ -99,6 +103,7 @@ class QueryPlanner:
         self._plans_by_id: dict = {}
         self._derived: dict = {}
         self._held: dict = {}
+        self._tids: dict = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         # White-box test seam: when set, every planned result is corrupted
@@ -111,6 +116,10 @@ class QueryPlanner:
         self.mismatch_count = 0
         self.window_shift_count = 0
         self.window_full_count = 0
+        self.delta_window_seeded_count = 0
+        self.delta_window_full_count = 0
+        self.delta_forall_seeded_count = 0
+        self.delta_forall_full_count = 0
 
     # -- caches -------------------------------------------------------------
 
@@ -139,11 +148,28 @@ class QueryPlanner:
         return got
 
     def held(self, q) -> list:
-        """Where the executor keeps the last window the window plan ``q``
-        held over: a one-element list in ``_held``, dropped with the
-        compiled plan."""
+        """Where the executor keeps what the plan ``q`` last held over — a
+        window plan its window, a closed ``forall`` a weak reference to its
+        state: a one-element list in ``_held``, dropped with the compiled
+        plan."""
         with self._lock:
             return self._weak(self._held, q, lambda: [None])
+
+    def tids_of(self, state) -> dict:
+        """``state``'s identifier → tuple table, equal to
+        :meth:`State.lookup_tuple` on every identifier and held for as long
+        as ``state`` is: the window plans' dereference prelude reads each
+        state of a window through it, built once per state."""
+        with self._lock:
+            table = self._weak(self._tids, state, dict)
+        if not table:
+            built: dict = {}
+            for relation in state.relations.values():
+                built.update(relation.tuples)
+            if len(built) != len(state.owner):  # relations and owners disagree
+                built = {tid: state.lookup_tuple(tid) for tid in state.owner}
+            table.update(built)
+        return table
 
     def reps_of(self, relation):
         """The relation's value-distinct representatives in the tree walk's
@@ -235,6 +261,11 @@ class QueryPlanner:
                 k for k, (_, v) in self._plans_by_id.items() if isinstance(v, str)
             ]:
                 del self._plans_by_id[key]
+
+    def _delta(self, plan: str, seeded: bool) -> None:
+        mode = "seeded" if seeded else "full"
+        attr = f"delta_{plan}_{mode}"
+        self._count("repro_planner_delta_total", attr, plan=plan, mode=mode)
 
     def _count(self, metric: str, attr: str, **labels) -> None:
         setattr(self, attr + "_count", getattr(self, attr + "_count") + 1)

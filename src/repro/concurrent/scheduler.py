@@ -26,10 +26,12 @@ subsystem's serializability witness
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -54,6 +56,10 @@ from repro.eval.versions import RelationVersions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine import Database
+
+#: Process-wide transaction numbers: every submission draws one, and the
+#: root span of each of its traced attempts carries it.
+_TXN_IDS = itertools.count(1)
 
 
 class TransactionStatus(Enum):
@@ -385,6 +391,7 @@ class TransactionManager:
                 )
         started = time.perf_counter()
         conflicts: list[frozenset[str]] = []
+        txn = next(_TXN_IDS)  # what a traced attempt's root span is tagged with
         attempt = 0
         while True:
             attempt += 1
@@ -393,8 +400,11 @@ class TransactionManager:
                 time.sleep(think_time)
             tracker = TrackingInterpreter.wrapping(self.database.interpreter)
             tracker.budget = self._attempt_budget(budget, deadline)
+            tracer = tracker.tracer
+            tagged = tracer.attempt(txn, attempt) if tracer is not None else nullcontext()
             try:
-                after = program.run(base, *args, interpreter=tracker)
+                with tagged:
+                    after = program.run(base, *args, interpreter=tracker)
             except ResourceError as err:
                 # Fuel/deadline/cancellation: a governance abort, not a
                 # program failure — the program itself may be fine.

@@ -85,12 +85,15 @@ def check_history(
     history: History,
     interpreter: Interpreter | None = None,
     enforce_window: bool = False,
+    model: Optional[PartialModel] = None,
 ) -> CheckResult:
     """Check against a maintained history window.
 
     With ``enforce_window=True``, refuse (raise :class:`CheckabilityError`)
     when the constraint's declared checkability needs more states than the
-    history holds — the trade-off of Section 3 made operational.
+    history holds — the trade-off of Section 3 made operational.  ``model``
+    is ``history``'s partial model when the caller already built it (a
+    commit checks every constraint over one); else it is built here.
 
     >>> from repro.db.evolution import History
     >>> from repro.domains import make_domain
@@ -122,7 +125,8 @@ def check_history(
                 f"constraint {constraint.name} needs {required} states; the "
                 f"maintained window keeps only {history.window}"
             )
-    model = PartialModel.of_history(history, interpreter)
+    if model is None:
+        model = PartialModel.of_history(history, interpreter)
     ok = Evaluator(model).holds(constraint.formula)
     return CheckResult(constraint, ok, len(history))
 

@@ -99,12 +99,18 @@ class PartialModel:
 
     ``constants`` interprets named state constants (``s0``); transition
     enumeration is bounded by ``max_transition_length`` on cyclic graphs.
+
+    A model is a value: its graph is not changed once it is queried, so
+    each state's bounded transitions and each arity's tuple domain are
+    computed once per model — a commit builds one model and checks every
+    constraint over it.
     """
 
     graph: EvolutionGraph
     interpreter: Interpreter = field(default_factory=Interpreter)
     constants: dict[str, State] = field(default_factory=dict)
     max_transition_length: Optional[int] = None
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def of_history(history: History, interpreter: Interpreter | None = None) -> "PartialModel":
@@ -130,7 +136,17 @@ class PartialModel:
         return self.graph.states()
 
     def transitions_from(self, state: State) -> Iterable[Transition]:
-        return self.graph.transitions_from(state, self.max_transition_length)
+        if self.max_transition_length is None:
+            # Unbounded, a cyclic graph raises only once enumerated this far.
+            return self.graph.transitions_from(state, None)
+        # Keyed by identity; the entry keeps ``state`` alive, so its id is not reused.
+        found = self._memo.get(id(state))
+        if found is None:
+            found = self._memo[id(state)] = (
+                state,
+                list(self.graph.transitions_from(state, self.max_transition_length)),
+            )
+        return found[1]
 
     def all_transitions(self) -> list[Transition]:
         """Λ once — it is the same transition at every state — then each
@@ -141,11 +157,17 @@ class PartialModel:
         return seen
 
     def tuple_domain(self, arity: int) -> list[DBTuple]:
-        by_tid: dict[object, DBTuple] = {}
-        for state in self.states():
-            for t in state.tuples_of_arity(arity):
-                by_tid.setdefault((t.tid, t.values), t)
-        return list(by_tid.values())
+        """The active domain of ``tup(arity)``: one tuple per identifier and
+        value occurring in some state.  Shared by every caller — do not
+        mutate it."""
+        found = self._memo.get(("tuples", arity))
+        if found is None:
+            by_tid: dict[object, DBTuple] = {}
+            for state in self.states():
+                for t in state.tuples_of_arity(arity):
+                    by_tid.setdefault((t.tid, t.values), t)
+            found = self._memo["tuples", arity] = list(by_tid.values())
+        return found
 
     def atom_domain(self) -> list[Atom]:
         acc: set[Atom] = set()

@@ -41,6 +41,7 @@ from repro.constraints.checkability import analyze
 from repro.constraints.checker import CheckResult, check_history
 from repro.constraints.history import HistoryEncoding
 from repro.constraints.model import Constraint, Window
+from repro.constraints.semantics import PartialModel
 from repro.db.evolution import History
 from repro.db.state import State, initial_state
 from repro.db.schema import Schema
@@ -501,13 +502,15 @@ class Database:
         Per constraint: skip a trusted (constraint, program) pair, then one
         the window cannot check (``strict`` raises instead), else check it
         over the window advanced to ``after``.  Every constraint is
-        evaluated before any verdict is acted on.  Returns the record and
-        the candidate history advanced to ``after``, or ``None`` when no
+        evaluated before any verdict is acted on, all over one partial
+        model of the candidate window.  Returns the record and the
+        candidate history advanced to ``after``, or ``None`` when no
         constraint needed it: the fork is lazy, so a transaction whose
         constraints are all skipped never pays for copying the window.
         """
         record = ExecutionRecord(label)
         candidate: Optional[History] = None
+        model: Optional[PartialModel] = None
         for c in self.schema.constraints:
             if program_name is not None and (c.name, program_name) in self._trusted:
                 record.skipped.append(
@@ -523,7 +526,10 @@ class Database:
             if candidate is None:
                 candidate = self.history.fork()
                 candidate.advance(after, label)
-            record.results.append(check_history(c, candidate, self.interpreter))
+                model = PartialModel.of_history(candidate, self.interpreter)
+            record.results.append(
+                check_history(c, candidate, self.interpreter, model=model)
+            )
         return record, candidate
 
     def _commit(

@@ -155,6 +155,31 @@ def constraint_footprint(constraint: Constraint, schema: Schema) -> Footprint:
     )
 
 
+def fluent_footprint(formula: Node) -> Footprint:
+    """The read set of an f-formula evaluated at one state, its free
+    variables bound by the caller: the relations it names and the arities
+    its quantified tuple and set variables enumerate (not closed over a
+    schema).  The window planner's residual read set
+    (:func:`repro.algebra.compiler.compile_window`).
+
+    >>> from repro.domains import make_domain
+    >>> d = make_domain()
+    >>> fp = fluent_footprint(d.every_employee_allocated().formula.body.formula)
+    >>> sorted(fp.relations), sorted(fp.arities), fp.bounded
+    (['ALLOC', 'EMP'], [3, 5], True)
+    """
+    acc = _Acc()
+    _walk(formula, fluent=True, acc=acc)
+    return Footprint(
+        constraint_name="",
+        relations=frozenset(acc.relations),
+        arities=frozenset(acc.arities),
+        universe=acc.universe,
+        eligible=not acc.reasons,
+        reason="; ".join(acc.reasons) if acc.reasons else acc.note,
+    )
+
+
 def program_footprint(program, schema: Schema) -> Footprint:
     """The relation footprint of a :class:`~repro.transactions.program.
     DatabaseProgram` — the routing key of :mod:`repro.sharding`.

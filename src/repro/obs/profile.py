@@ -5,7 +5,8 @@
 yields a :class:`Profile`.  Afterwards (or during), the profile offers:
 
 * :meth:`Profile.transactions` — one :class:`TransactionProfile` per traced
-  transaction, with the span tree and its flame rendering;
+  transaction, with the span tree, its flame rendering and how many
+  attempts the scheduler made;
 * :meth:`Profile.breakdown` — aggregate self-time by ``kind:label`` across
   all transactions (where did the time go, over the whole block);
 * :meth:`Profile.to_json` / :func:`profile_from_json` — a round-trippable
@@ -25,9 +26,12 @@ from repro.obs.trace import Span, Tracer
 
 @dataclass(frozen=True)
 class TransactionProfile:
-    """The traced execution of one transaction (one root span)."""
+    """The traced execution of one transaction: the root span of its last
+    attempt, and how many attempts it took (a scheduler retries a
+    transaction that failed validation)."""
 
     root: Span
+    attempts: int = 1
 
     @property
     def label(self) -> str:
@@ -98,7 +102,18 @@ class Profile:
     # -- per-transaction ---------------------------------------------------
 
     def transactions(self) -> tuple[TransactionProfile, ...]:
-        return tuple(TransactionProfile(root) for root in self.tracer.roots())
+        """One profile per transaction, in the order their first root span
+        completed: the root spans one transaction's attempts opened count
+        once, as its last attempt; an untagged root is a transaction of its
+        own."""
+        groups: dict = {}
+        for root in self.tracer.roots():
+            key = id(root) if root.txn is None else ("txn", root.txn)
+            groups.setdefault(key, []).append(root)
+        return tuple(
+            TransactionProfile(max(roots, key=lambda r: r.attempt), len(roots))
+            for roots in groups.values()
+        )
 
     # -- aggregate ---------------------------------------------------------
 

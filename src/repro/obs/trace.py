@@ -14,7 +14,11 @@ action — each carrying:
 * ``touched`` — the relations the step's evaluation depended on, reported
   through the interpreter's ``_touch`` seam (always sorted, so traces are
   stable across processes and hash seeds);
-* ``duration`` and nested ``children``.
+* ``duration`` and nested ``children``;
+* on a root span opened by a scheduler attempt, ``txn`` and ``attempt`` —
+  the transaction it belongs to and which of its attempts it was, so a
+  retried transaction is one transaction with two attempts, not two
+  (:meth:`Tracer.attempt`).
 
 Tracing is explicitly opt-in and the disabled path is a single attribute
 check in the interpreter (``tracer is None``), so an untraced database pays
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -47,6 +52,8 @@ class Span:
     duration: float = 0.0
     touched: tuple[str, ...] = ()
     children: list["Span"] = field(default_factory=list)
+    txn: Optional[int] = None
+    attempt: int = 1
     _touch_acc: Optional[set] = field(default=None, repr=False, compare=False)
 
     def walk(self) -> Iterator["Span"]:
@@ -61,7 +68,7 @@ class Span:
         return max(0.0, self.duration - sum(c.duration for c in self.children))
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "kind": self.kind,
             "label": self.label,
             "version": self.version,
@@ -69,6 +76,9 @@ class Span:
             "touched": list(self.touched),
             "children": [c.to_doc() for c in self.children],
         }
+        if self.txn is not None:
+            doc["txn"], doc["attempt"] = self.txn, self.attempt
+        return doc
 
     @staticmethod
     def from_doc(doc: dict) -> "Span":
@@ -79,6 +89,8 @@ class Span:
             duration=float(doc["duration"]),
             touched=tuple(doc["touched"]),
             children=[Span.from_doc(c) for c in doc.get("children", [])],
+            txn=doc.get("txn"),
+            attempt=int(doc.get("attempt", 1)),
         )
 
 
@@ -117,8 +129,21 @@ class Tracer:
             self._span_count += 1
         span = Span(kind=kind, label=label, version=version, start=self.clock())
         span._touch_acc = set()
-        self._stack().append(span)
+        stack = self._stack()
+        if not stack:
+            span.txn, span.attempt = getattr(self._local, "tag", None) or (None, 1)
+        stack.append(span)
         return span
+
+    @contextmanager
+    def attempt(self, txn: int, attempt: int) -> Iterator[None]:
+        """Tag the root spans this thread opens inside the block as attempt
+        ``attempt`` of transaction ``txn``."""
+        self._local.tag = (txn, attempt)
+        try:
+            yield
+        finally:
+            self._local.tag = None
 
     def finish(self, span: Optional[Span]) -> None:
         if span is None:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.errors import ProofError
+from repro.errors import ProofError, SortError
 from repro.logic.formulas import Eq, FalseF, Formula, TrueF
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Expr, Node, Var
@@ -215,7 +215,10 @@ def _rewrite_once(node: Formula, lhs: Expr, rhs: Expr) -> list[Formula]:
         if isinstance(current, Expr):
             mgu = unify(current, lhs)
             if mgu is not None:
-                results.append(mgu.apply(rebuild(mgu.apply(rhs))))
+                try:
+                    results.append(mgu.apply(rebuild(mgu.apply(rhs))))
+                except SortError:
+                    pass  # an ill-sorted rewrite is not an inference
         for idx, child in enumerate(current.children()):
             if current.bound_vars():
                 continue  # no rewriting under binders (soundness)

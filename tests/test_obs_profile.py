@@ -162,6 +162,45 @@ class TestProfileExport:
         # Worker threads traced into the same profile.
         assert len(prof.transactions()) == 6
 
+    def test_a_retried_attempt_belongs_to_its_transaction(self, schema, programs):
+        """One validation conflict forced through the scheduler's chaos
+        seam: the retry traces a second root, and the profile still shows
+        six transactions, one of them with two attempts."""
+        from repro.concurrent import RetryPolicy
+        from repro.concurrent.scheduler import TransactionManager
+
+        class OneConflict:
+            def validation_conflict(self, label, attempt):
+                if attempt == 1 and not self.spent:
+                    self.spent = True
+                    return frozenset({"<chaos>"})
+                return None
+
+            spent = False
+
+        db = Database(schema, window=2)
+        with db.profile() as prof:
+            mgr = TransactionManager(
+                db,
+                workers=2,
+                retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+                chaos=OneConflict(),
+            )
+            with mgr:
+                outcomes = mgr.run_all([(programs["put_a"], i, i) for i in range(6)])
+        assert all(o.ok for o in outcomes)
+        assert sorted(o.attempts for o in outcomes) == [1, 1, 1, 1, 1, 2]
+        assert len(prof.tracer.roots()) == 7
+        txns = prof.transactions()
+        assert len(txns) == 6
+        assert sorted(t.attempts for t in txns) == [1, 1, 1, 1, 1, 2]
+        retried = next(t for t in txns if t.attempts == 2)
+        assert retried.root.attempt == 2 and retried.label == "put-a"
+        # The tags survive the JSON round trip.
+        roots = profile_from_json(prof.to_json())["trace"]["roots"]
+        assert sorted(r.attempt for r in roots) == [1, 1, 1, 1, 1, 1, 2]
+        assert len({r.txn for r in roots}) == 6
+
     def test_profile_without_metrics_exports_empty(self):
         from repro.obs import Profile, Tracer
 

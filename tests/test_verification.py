@@ -136,3 +136,25 @@ class TestProofPath:
             domain.salary_decrease_needs_dept_change(), domain.set_salary, [bad]
         )
         assert result2.verdict is Verdict.VIOLATED
+
+
+def test_every_transaction_and_constraint_pair_gets_a_verdict():
+    """Every (constraint, transaction) pair of both shipped domains: the
+    verifier returns a verdict and raises nothing — the prover skips an
+    ill-sorted rewrite instead of raising ``SortError`` from it."""
+    from repro.domains import make_domain
+    from repro.domains.banking import make_banking_domain
+    from repro.transactions.program import DatabaseProgram
+
+    pairs = []
+    for domain, constraints in (
+        (make_domain(), make_domain().all_constraints),
+        (make_banking_domain(), make_banking_domain().constraints()),
+    ):
+        programs = [p for p in vars(domain).values() if isinstance(p, DatabaseProgram)]
+        pairs += [(c, p) for c in constraints for p in programs]
+    assert len(pairs) == 168
+    verifier = Verifier()
+    for constraint, program in pairs:
+        result = verifier.verify(constraint, program)
+        assert isinstance(result.verdict, Verdict), (constraint.name, program.name)

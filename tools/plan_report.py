@@ -13,13 +13,18 @@ The eight constraints the ledger's ``emp_*`` workloads install must plan:
 a refusal of one of them is a regression of the commit path and exits
 non-zero.
 
-A second section builds, for each shipped domain, a default-constructed
+A window plan seeds the head of a commit's window from the previous head,
+unless a relation its residuals read changed; a second section prints, per
+planned constraint, which relations those are (``… head full when EMP
+changes``).
+
+A third section builds, for each shipped domain, a default-constructed
 ``Database`` over the domain's sample state with its window-checkable
 constraints installed, commits one write and prints the planner's planned /
 fallback evaluation counts; a database without a planner, or one that
 planned nothing, exits non-zero — the check that planning stays the default.
 
-A third section builds a 4-shard ``ShardedDatabase`` over an 8-stripe
+A last section builds a 4-shard ``ShardedDatabase`` over an 8-stripe
 ``v >= 0`` schema (E18's shape), writes once per stripe and prints each
 shard's planned / fallback evaluation counts; a shard that did not plan,
 or fell back to the walk, exits non-zero too.
@@ -68,6 +73,26 @@ def verdict(planner: QueryPlanner, formula, state) -> str:
     except PlanError as refusal:
         return f"planned (degenerate); its body walks: {refusal}"
     return "planned (degenerate) over planned (f-plan)"
+
+
+def head_rule(planner: QueryPlanner, formula, state) -> str:
+    """Which relations' change makes the window plan of ``formula`` run
+    its head in full — the residuals' read set, arity classes named over
+    ``state`` — or the reason it does not plan."""
+    try:
+        reads = planner.plan(formula, PartialModel.of_states([state])).query.reads
+    except PlanError as refusal:
+        return f"not planned ({refusal})"
+    if reads is None:
+        return "head always full (a residual reads an unbounded set)"
+    names, arities = reads
+    names = sorted(
+        names | {n for n in state.relation_names() if state.relations[n].arity in arities}
+    )
+    if not names:
+        return "head always seeded"
+    which = names[0] if len(names) == 1 else f"any of {', '.join(names)}"
+    return f"head full when {which} changes"
 
 
 def single_node() -> bool:
@@ -143,6 +168,16 @@ def main() -> int:
                 refused.append(constraint.name)
     if refused:
         print(f"must-plan constraints refused: {', '.join(refused)}", file=sys.stderr)
+    print("\nwindow heads: what a commit must change to check its head in full")
+    for domain, constraints in (
+        (employee, employee.all_constraints),
+        (banking, banking.constraints()),
+    ):
+        state = domain.sample_state()
+        for constraint in constraints:
+            rule = head_rule(planner, constraint.formula, state)
+            if not rule.startswith("not planned"):
+                print(f"{constraint.name}: {rule}")
     default_plans = single_node()
     if not default_plans:
         print("a default Database did not plan its commit", file=sys.stderr)
