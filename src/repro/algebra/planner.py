@@ -268,7 +268,8 @@ class QueryPlanner:
         self._count("repro_planner_delta_total", attr, plan=plan, mode=mode)
 
     def _count(self, metric: str, attr: str, **labels) -> None:
-        setattr(self, attr + "_count", getattr(self, attr + "_count") + 1)
+        with self._lock:  # threads share one planner: no lost increments
+            setattr(self, attr + "_count", getattr(self, attr + "_count") + 1)
         if self.metrics is not None:
             self.metrics.counter(
                 metric, f"planner {attr} events", **labels

@@ -403,12 +403,9 @@ class Database:
         >>> db.query(query("headcount", (), b.size_of(b.rel("EMP", 5))))
         4
         """
-        interpreter = self.interpreter
-        if budget is not None:
-            interpreter = dataclasses.replace(
-                interpreter, budget=budget.fresh()
-            )
-        return program.query(self.current, *args, interpreter=interpreter)
+        return program.query(
+            self.current, *args, interpreter=self.interpreter.metered(budget)
+        )
 
     # -- execution ----------------------------------------------------------------
 
@@ -429,12 +426,9 @@ class Database:
         state does not advance.
         """
         label = label or program.name
-        interpreter = self.interpreter
-        if budget is not None:
-            interpreter = dataclasses.replace(
-                interpreter, budget=budget.fresh()
-            )
-        after = program.run(self.current, *args, interpreter=interpreter)
+        after = program.run(
+            self.current, *args, interpreter=self.interpreter.metered(budget)
+        )
         return self._commit(after, label, program.name, args=args)
 
     def apply(

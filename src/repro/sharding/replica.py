@@ -15,6 +15,8 @@ freshness contract is bounded staleness, not recency.  :meth:`Replica.lag`
 measures the gap in journal records; :meth:`Replica.query` refuses with the
 typed :class:`~repro.errors.ReplicaLagExceeded` when the gap exceeds the
 caller's bound, instead of silently answering from the distant past.
+Queries evaluate as on a :class:`~repro.engine.Database`: through an
+interpreter that plans by default (``interpreter=Interpreter()`` walks).
 
 >>> import tempfile
 >>> from repro.domains import make_domain
@@ -45,6 +47,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.algebra.planner import QueryPlanner
 from repro.db.state import State
 from repro.errors import ReplicaLagExceeded, ReproError, ShardError
 from repro.obs.metrics import MetricsRegistry
@@ -109,8 +112,10 @@ class Replica:
     ) -> None:
         self.path = os.fspath(path)
         self.max_lag = max_lag
-        self.interpreter = interpreter or Interpreter()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if interpreter is None:
+            interpreter = Interpreter(planner=QueryPlanner(metrics=self.metrics))
+        self.interpreter = interpreter
         try:
             base = newest_snapshot(self.path)
         except FileNotFoundError:
@@ -218,15 +223,10 @@ class Replica:
                 primary=self.applied_seq + behind,
                 max_lag=bound,
             )
-        interpreter = self.interpreter
-        if budget is not None:
-            import dataclasses
-
-            interpreter = dataclasses.replace(
-                interpreter, budget=budget.fresh()
-            )
         try:
-            value = program.query(self.state, *args, interpreter=interpreter)
+            value = program.query(
+                self.state, *args, interpreter=self.interpreter.metered(budget)
+            )
         except ReproError:
             self._count_query("error")
             raise

@@ -27,22 +27,28 @@ Unused ids in a block cost nothing — ``State.owner`` is a sparse chunk map
 the id space has grown — and a transaction that outgrows its block is
 simply re-evaluated (deterministically) against a fresh block sized to fit.
 
-Every shard engine plans its constraint checks (``enable_planner``): the
-per-row invariants homed on a shard are answered by window / f-plans, as
-on any :class:`~repro.engine.Database`.  Transaction bodies run on
-the router's own :attr:`ShardedDatabase.interpreter`.
+One interpreter evaluates everything: :attr:`ShardedDatabase.interpreter`,
+which plans by default exactly as a :class:`~repro.engine.Database`'s
+does, is every shard engine's interpreter too.  Shard constraint checks,
+transaction bodies (single-shard and the 2PC merged body), merged-cut
+queries and recovered or promoted primaries all answer from its one
+:class:`~repro.algebra.planner.QueryPlanner` where they can; a merged cut
+reuses the shard ``Relation`` objects, so the planner's identity-keyed
+caches serve shard views and cuts alike.  ``interpreter=Interpreter()``
+walks the whole sharded database — the oracle the agreement tests
+compare against.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.algebra.planner import QueryPlanner
 from repro.concurrent.log import CommitRecord
 from repro.concurrent.scheduler import TransactionOutcome, TransactionStatus
 from repro.db.schema import Schema
@@ -95,7 +101,9 @@ class _Shard:
     ``db`` is ``None`` while the shard's primary is dead (killed by
     :meth:`ShardedDatabase.kill_shard` and not yet healed by promotion);
     routing refuses such shards with :class:`~repro.errors.
-    ShardUnavailable` instead of touching them.
+    ShardUnavailable` instead of touching them.  ``standby`` is the
+    tailing replica :meth:`ShardedDatabase.enable_failover` keeps ready to
+    promote (``None`` when failover keeps none).
     """
 
     index: int
@@ -104,6 +112,7 @@ class _Shard:
     store: Optional[Store]
     seq: int  # durable journal sequence (commit + prepare + outcome records)
     block_hi: int  # exclusive upper bound of this shard's allocator block
+    standby: Optional[Replica] = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,9 @@ class ShardedDatabase:
             schema, shards, overrides=placement
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.interpreter = interpreter or Interpreter()
+        if interpreter is None:
+            interpreter = Interpreter(planner=QueryPlanner(metrics=self.metrics))
+        self.interpreter = interpreter
         self.strict = strict
         self.checkpoint_every = checkpoint_every
         self.faults = faults
@@ -201,7 +212,6 @@ class ShardedDatabase:
         self._sync = sync
         self._detector: Optional[FailureDetector] = None
         self._auto_promote = False
-        self._standbys: dict[int, Replica] = {}
         self._default_retry_after = 0.05
 
         if _resume is not None:
@@ -287,9 +297,9 @@ class ShardedDatabase:
 
     def _engine(self, index: int, state: State, next_tid: int) -> Database:
         """Shard ``index``'s engine over ``state``, allocating from
-        ``next_tid``, with the planner enabled: its constraint checks run
-        plans (transaction bodies still run on :attr:`interpreter`)."""
-        db = Database(
+        ``next_tid``, on the router's :attr:`interpreter`: its constraint
+        checks plan (or walk) exactly as the bodies and queries do."""
+        return Database(
             self._subschema(index),
             window=self._window,
             initial=State(state.relations, state.owner, next_tid),
@@ -297,8 +307,6 @@ class ShardedDatabase:
             strict=self.strict,
             metrics=self.metrics,
         )
-        db.enable_planner()
-        return db
 
     def _subschema(self, index: int) -> Schema:
         """The sub-schema shard ``index`` enforces: its relations plus
@@ -449,14 +457,18 @@ class ShardedDatabase:
         self._auto_promote = auto_promote
         if standbys:
             for shard in self.shards:
-                self._standbys.setdefault(
-                    shard.index,
-                    Replica(
-                        os.path.join(self.path, f"shard-{shard.index}"),
-                        metrics=self.metrics,
-                    ),
-                )
+                if shard.standby is None:
+                    shard.standby = self._replica(shard.index)
         return self._detector
+
+    def _replica(self, index: int) -> Replica:
+        """A fresh replica tailing shard ``index``'s store, on the router's
+        interpreter."""
+        return Replica(
+            os.path.join(self.path, f"shard-{index}"),
+            interpreter=self.interpreter,
+            metrics=self.metrics,
+        )
 
     def failover_tick(self) -> dict[int, ShardHealth]:
         """One round of health probes over every shard (call from a timer).
@@ -475,10 +487,8 @@ class ShardedDatabase:
             if health is ShardHealth.DOWN and not alive and self._auto_promote:
                 if self.promote_shard(shard.index) is not None:
                     health = self._detector.state(shard.index)
-            elif alive:
-                standby = self._standbys.get(shard.index)
-                if standby is not None:
-                    standby.poll()
+            elif alive and shard.standby is not None:
+                shard.standby.poll()
             out[shard.index] = health
         return out
 
@@ -488,8 +498,9 @@ class ShardedDatabase:
         The live :class:`_Shard` slot is detached (``db``/``store`` set to
         ``None``) so routing sees a dead shard; the returned **zombie**
         handle keeps the old engine and the old (about-to-be-fenced) store
-        — exactly what a deposed process still holds.  The chaos harness
-        replays writes through the zombie to prove the fence refuses them.
+        — exactly what a deposed process still holds — and no standby.
+        The chaos harness replays writes through the zombie to prove the
+        fence refuses them.
         """
         shard = self.shards[index]
         with shard.lock:
@@ -532,12 +543,8 @@ class ShardedDatabase:
         with shard.lock:
             if shard.db is not None:
                 return None
-            rep = replica or self._standbys.pop(index, None)
-            if rep is None:
-                rep = Replica(
-                    os.path.join(self.path, f"shard-{index}"),
-                    metrics=self.metrics,
-                )
+            rep = replica or shard.standby or self._replica(index)
+            shard.standby = None
             promotion = rep.promote(
                 coordinator=self.coordinator,
                 applied=self._sibling_outcomes(exclude=index),
@@ -558,9 +565,7 @@ class ShardedDatabase:
                 ).observe(duration)
         # Re-seed: a fresh standby re-bases from the promotion's first
         # checkpoint and tails the new epoch.
-        self._standbys[index] = Replica(
-            os.path.join(self.path, f"shard-{index}"), metrics=self.metrics
-        )
+        shard.standby = self._replica(index)
         return promotion
 
     def _sibling_outcomes(self, exclude: int) -> dict[str, str]:
@@ -774,11 +779,6 @@ class ShardedDatabase:
         ]
         return [f.result() for f in futures]
 
-    def _interpreter_for(self, budget) -> Interpreter:
-        if budget is None:
-            return self.interpreter
-        return dataclasses.replace(self.interpreter, budget=budget.fresh())
-
     def _execute(
         self, program: DatabaseProgram, args, label, budget
     ) -> tuple[State, CommitRecord]:
@@ -817,6 +817,29 @@ class ShardedDatabase:
             latency=latency,
         )
 
+    def _run_in_block(
+        self, program, args, label, budget, state: State, block_hi: int
+    ) -> tuple[State, State, int]:
+        """Run ``program`` on ``state``, whose allocator starts an id block
+        ending at ``block_hi``.  A body that outgrew the block re-runs once
+        (deterministically) on a fresh block sized to fit.  Returns the
+        state it ran on, the post-state and the end of its block."""
+        after = program.run(
+            state, *args, interpreter=self.interpreter.metered(budget)
+        )
+        if after.next_tid > block_hi:
+            span = max(ALLOC_BLOCK, 2 * (after.next_tid - state.next_tid))
+            lo, block_hi = self._grab_block(span)
+            state = State(state.relations, state.owner, lo)
+            after = program.run(
+                state, *args, interpreter=self.interpreter.metered(budget)
+            )
+            if after.next_tid > block_hi:  # pragma: no cover - defensive
+                raise ShardError(
+                    f"nondeterministic allocation re-running {label}"
+                )
+        return state, after, block_hi
+
     def _execute_single(
         self, shard: _Shard, program, args, label, budget, footprint
     ) -> tuple[State, CommitRecord]:
@@ -829,26 +852,9 @@ class ShardedDatabase:
                 # Fail before any in-memory change if we were deposed.
                 shard.store.check_fence()
             before = shard.db.current
-            raw = program.run(
-                before, *args, interpreter=self._interpreter_for(budget)
+            _, raw, shard.block_hi = self._run_in_block(
+                program, args, label, budget, before, shard.block_hi
             )
-            if raw.next_tid > shard.block_hi:
-                # The transaction outgrew the shard's id block: re-evaluate
-                # (deterministically) against a fresh block sized to fit.
-                span = max(
-                    ALLOC_BLOCK, 2 * (raw.next_tid - before.next_tid)
-                )
-                lo, hi = self._grab_block(span)
-                view = State(before.relations, before.owner, lo)
-                raw = program.run(
-                    view, *args, interpreter=self._interpreter_for(budget)
-                )
-                if raw.next_tid > hi:  # pragma: no cover - defensive
-                    raise ShardError(
-                        f"shard {shard.index}: nondeterministic allocation "
-                        f"while re-running {label}"
-                    )
-                shard.block_hi = hi
             self._guard_created(before, raw)
             final = shard.db.apply(
                 raw, label=label, program_name=program.name, args=tuple(args)
@@ -954,26 +960,11 @@ class ShardedDatabase:
                 if shard.db is None:
                     self._ensure_up(shard.index)  # killed since routing
             block_lo, block_hi = self._grab_block()
-            merged = self._merge(
-                [s.db.current for s in shards], next_tid=block_lo
+            merged, after, _ = self._run_in_block(
+                program, args, label, budget,
+                self._merge([s.db.current for s in shards], block_lo),
+                block_hi,
             )
-            after = program.run(
-                merged, *args, interpreter=self._interpreter_for(budget)
-            )
-            if after.next_tid > block_hi:
-                # Outgrew the block: deterministic re-run on a bigger one.
-                span = max(ALLOC_BLOCK, 2 * (after.next_tid - block_lo))
-                block_lo, block_hi = self._grab_block(span)
-                merged = self._merge(
-                    [s.db.current for s in shards], next_tid=block_lo
-                )
-                after = program.run(
-                    merged, *args, interpreter=self._interpreter_for(budget)
-                )
-                if after.next_tid > block_hi:  # pragma: no cover
-                    raise ShardError(
-                        f"nondeterministic allocation re-running {label}"
-                    )
             self._guard_created(merged, after)
             views = self._split_views(shards, after)
 
@@ -1193,7 +1184,7 @@ class ShardedDatabase:
             [cut[i] for i in participants], next_tid=block_lo
         )
         return program.query(
-            merged, *args, interpreter=self._interpreter_for(budget)
+            merged, *args, interpreter=self.interpreter.metered(budget)
         )
 
     def _global_cut(self) -> list[Optional[State]]:

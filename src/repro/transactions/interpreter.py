@@ -22,7 +22,7 @@ the result depends on the enumeration order (checked per ``order_check``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -159,6 +159,13 @@ class Interpreter:
     reports through ``_touch`` is a superset of the tree walk's, bounded by
     the relations the plan names (DESIGN.md §7.6).  ``None`` (the default)
     costs one attribute check per hook site."""
+
+    def metered(self, budget: Optional[Budget]) -> "Interpreter":
+        """This interpreter, or a copy metering one evaluation against a
+        fresh start of ``budget`` (``None``: this interpreter itself)."""
+        if budget is None:
+            return self
+        return replace(self, budget=budget.fresh())
 
     # ======================================================================
     # w:e — object evaluation
