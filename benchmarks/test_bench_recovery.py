@@ -18,6 +18,7 @@ crash-recovery job can upload them as artifacts.
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 import pytest
@@ -69,24 +70,28 @@ def run_low_conflict(store_path=None, sync: str = "os") -> float:
 
 def test_bench_journal_append_overhead():
     """Acceptance claim: OS-buffered journaling loses <= 25% throughput on
-    the low-conflict workload (best of 3 to damp scheduler noise)."""
-    base = max(run_low_conflict(None) for _ in range(3))
+    the low-conflict workload (best of 3 to damp scheduler noise).  The
+    three modes alternate trial by trial, so host drift over the run lands
+    on every mode alike instead of in the ratio."""
+    modes = ("memory", "os", "commit")
+    best = dict.fromkeys(modes, 0.0)
+    for _ in range(3):
+        for mode in modes:
+            if mode == "memory":
+                rate = run_low_conflict(None)
+            else:
+                with tempfile.TemporaryDirectory() as d:
+                    rate = run_low_conflict(d + "/store", sync=mode)
+            best[mode] = max(best[mode], rate)
+    base = best["memory"]
     rows = [("memory", f"{base:.0f}/s", "1.00x", "-")]
-    measured = {}
     for sync in ("os", "commit"):
-        best = 0.0
-        for attempt in range(3):
-            import tempfile
-
-            with tempfile.TemporaryDirectory() as d:
-                best = max(best, run_low_conflict(d + "/store", sync=sync))
-        measured[sync] = best
         rows.append(
             (
                 f"durable[{sync}]",
-                f"{best:.0f}/s",
-                f"{best / base:.2f}x",
-                f"{(1 - best / base):.1%}",
+                f"{best[sync]:.0f}/s",
+                f"{best[sync] / base:.2f}x",
+                f"{(1 - best[sync] / base):.1%}",
             )
         )
     print_series(
@@ -94,7 +99,7 @@ def test_bench_journal_append_overhead():
         rows,
         ("mode", "throughput", "vs memory", "loss"),
     )
-    loss = 1 - measured["os"] / base
+    loss = 1 - best["os"] / base
     assert loss <= 0.25, f"OS-buffered journaling lost {loss:.1%} throughput"
 
 

@@ -53,6 +53,7 @@ from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.storage.journal import JournalRecord
     from repro.storage.store import Recovery, Store
 
 
@@ -142,7 +143,6 @@ class Database:
         self._windows: dict[str, int | Window] = {}
         self._trusted: set[tuple[str, str]] = set()
         self.store: Optional["Store"] = None
-        self._durable_seq = 0
         self._planner: Optional[QueryPlanner] = interpreter.planner
         self._warn_unenforced()
 
@@ -324,7 +324,6 @@ class Database:
         )
         if store.is_fresh():
             store.initialize(self.current)
-            self._durable_seq = 0
         else:
             recovery = store.recover()
             if recovery.state != self.current:
@@ -333,7 +332,6 @@ class Database:
                     f"store {store.path} holds a different run "
                     f"({recovery.summary()}); recover with Database.from_store"
                 )
-            self._durable_seq = recovery.seq
         self.store = store
         return store
 
@@ -357,20 +355,20 @@ class Database:
         """
         from repro.storage.store import Store
 
+        # One registry, so journal/checkpoint latencies land beside the
+        # scheduler's metrics.
+        if db_kwargs.get("metrics") is None:
+            db_kwargs["metrics"] = MetricsRegistry()
         store = Store(
             path,
             checkpoint_every=checkpoint_every,
             sync=sync,
             keep_snapshots=keep_snapshots,
+            metrics=db_kwargs["metrics"],
         )
         recovery = store.recover()
         db = cls(schema, initial=recovery.state, **db_kwargs)
         db.store = store
-        # The store predates the database here; adopt its registry so
-        # journal/checkpoint latencies land beside the scheduler's metrics.
-        store.metrics = db.metrics
-        store.journal.metrics = db.metrics
-        db._durable_seq = recovery.seq
         return db, recovery
 
     def close(self) -> None:
@@ -439,6 +437,7 @@ class Database:
         program_name: Optional[str] = None,
         args: tuple[object, ...] = (),
         snapshot_version: Optional[int] = None,
+        prepared: Optional["JournalRecord"] = None,
     ) -> State:
         """Commit a *precomputed* post-state: run encodings, enforce
         constraints, advance the history.
@@ -450,9 +449,13 @@ class Database:
         trust-pair skipping when the post-state came from a known program;
         ``args`` and ``snapshot_version`` flow into the journal's logical
         metadata when the database is durable.
+        ``prepared`` is the PREPARE record this commit completes (the apply
+        step of :mod:`repro.sharding.twopc`): the store then journals its
+        commit OUTCOME instead of a COMMIT record.
         """
         return self._commit(
-            after, label, program_name, args=args, snapshot_version=snapshot_version
+            after, label, program_name, args=args,
+            snapshot_version=snapshot_version, prepared=prepared,
         )
 
     def rehearse(
@@ -534,6 +537,7 @@ class Database:
         *,
         args: tuple[object, ...] = (),
         snapshot_version: Optional[int] = None,
+        prepared: Optional["JournalRecord"] = None,
     ) -> State:
         before = self.current
         for encoding in self.encodings:
@@ -561,16 +565,17 @@ class Database:
             # constraint never reaches disk, and a crash between the
             # in-memory advance and the append merely shortens the
             # recoverable prefix by this one commit.
-            self._durable_seq += 1
-            self.store.log_commit(
-                before,
-                after,
-                seq=self._durable_seq,
-                label=label,
-                program=program_name,
-                args=args,
-                snapshot_version=snapshot_version,
-            )
+            if prepared is not None:
+                self.store.log_outcome(after, prepared, "commit")
+            else:
+                self.store.log_commit(
+                    before,
+                    after,
+                    label=label,
+                    program=program_name,
+                    args=args,
+                    snapshot_version=snapshot_version,
+                )
         return after
 
     def concurrent(

@@ -261,7 +261,8 @@ class Replica:
            from here on every append by the old primary raises
            :class:`~repro.errors.Fenced`.
         2. **Drain.**  Re-poll to the journal's durable end, then truncate
-           the journal to the applied prefix, as recovery would stop.
+           the journal to the applied prefix, as recovery would stop
+           (:meth:`~repro.storage.store.Store.truncate` numbers on from it).
         3. **Resolve** each stashed PREPARE with
            :func:`~repro.sharding.twopc.resolve_pending`, the resolver
            :meth:`ShardedDatabase.recover` runs.
@@ -285,27 +286,24 @@ class Replica:
 
         # 2. Drain to the durable end, then truncate to the applied prefix.
         self.poll()
-        store.journal.replace_with(
-            tuple(r for r in self._scan.records if r.seq <= self.applied_seq)
-        )
+        store.truncate(self.applied_seq)
 
         # 3. Resolve every stashed prepare, durably, in journal order.
-        state, seq, resolutions = resolve_pending(
+        state, resolutions = resolve_pending(
             store,
             self.state,
-            self.applied_seq,
             self._fold.pending.values(),
             applied=dict(applied or {}),
             metrics=self.metrics,
             coordinator=coordinator,
             decisions=decisions,
         )
-        self._fold = ReplayFold(state, seq)
+        self._fold = ReplayFold(state, store.seq)
         self._fold.epoch = new_epoch
 
         # 4. First checkpoint of the new epoch: the snapshot fresh replicas
         # re-seed from (and the truncation that retires the old journal).
-        store.checkpoint(state, seq)
+        store.checkpoint(state)
         self.metrics.counter(
             "repro_failover_promotions_total",
             "replicas promoted to shard primary",
@@ -313,7 +311,7 @@ class Replica:
         return Promotion(
             path=self.path,
             epoch=new_epoch,
-            seq=seq,
+            seq=store.seq,
             state=state,
             resolutions=tuple(resolutions),
             store=store,

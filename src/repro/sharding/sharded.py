@@ -2,12 +2,15 @@
 
 Each shard is a full :class:`~repro.engine.Database` over the sub-schema
 its placement cluster induces (its relations *and* the constraints homed
-on them), with its own commit lock, its own durable
-:class:`~repro.storage.Store`, and its own journal sequence.  The
-journal-order-is-serial-order invariant therefore holds **per shard**; the
-global serial order is any interleaving consistent with the per-shard
-orders, which cross-shard transactions stitch together by holding every
-participant's lock for their whole prepare→decide→apply window.
+on them), with its own commit lock.  A durable router's shard is a durable
+``Database`` whose :class:`~repro.storage.Store` (``<path>/shard-<i>``)
+numbers and checkpoints its journal: every commit journals through
+:meth:`Database.apply`, and the router writes only 2PC PREPAREs and abort
+OUTCOMEs to that store.  The journal-order-is-serial-order invariant
+therefore holds **per shard**; the global serial order is any interleaving
+consistent with the per-shard orders, which cross-shard transactions
+stitch together by holding every participant's lock for their whole
+prepare→decide→apply window.
 
 Routing is the static footprint analysis of :func:`repro.eval.footprint.
 program_footprint`: a program whose footprint lands on one shard commits
@@ -96,9 +99,10 @@ def _owner_of(relations: dict) -> dict:
 
 @dataclass
 class _Shard:
-    """One shard's engine plus its commit lock and durable plumbing.
+    """One shard's engine plus its commit lock and id block.
 
-    ``db`` is ``None`` while the shard's primary is dead (killed by
+    A durable shard's journal is ``db.store``.  ``db`` is ``None`` while
+    the shard's primary is dead (killed by
     :meth:`ShardedDatabase.kill_shard` and not yet healed by promotion);
     routing refuses such shards with :class:`~repro.errors.
     ShardUnavailable` instead of touching them.  ``standby`` is the
@@ -109,8 +113,6 @@ class _Shard:
     index: int
     db: Optional[Database]
     lock: threading.RLock
-    store: Optional[Store]
-    seq: int  # durable journal sequence (commit + prepare + outcome records)
     block_hi: int  # exclusive upper bound of this shard's allocator block
     standby: Optional[Replica] = None
 
@@ -215,7 +217,7 @@ class ShardedDatabase:
         self._default_retry_after = 0.05
 
         if _resume is not None:
-            states, seqs, stores, coordinator = _resume
+            states, stores, coordinator = _resume
             self.coordinator = coordinator
             # Re-base the allocator past every identifier recovery saw:
             # shard allocators move to fresh blocks above the global high
@@ -234,15 +236,13 @@ class ShardedDatabase:
                 rebuilt.append(
                     _Shard(
                         index=i,
-                        db=self._engine(i, state, lo),
+                        db=self._engine(i, state, lo, stores[i]),
                         lock=threading.RLock(),
-                        store=stores[i],
-                        seq=seqs[i],
                         block_hi=hi,
                     )
                 )
             self.shards = tuple(rebuilt)
-            self._version = sum(seqs)
+            self._version = sum(store.seq for store in stores)
             return
 
         full = initial if initial is not None else initial_state(schema)
@@ -284,10 +284,8 @@ class ShardedDatabase:
             built.append(
                 _Shard(
                     index=i,
-                    db=self._engine(i, state, lo),
+                    db=self._engine(i, state, lo, stores[i]),
                     lock=threading.RLock(),
-                    store=stores[i],
-                    seq=0,
                     block_hi=hi,
                 )
             )
@@ -295,11 +293,14 @@ class ShardedDatabase:
 
     # -- construction helpers ----------------------------------------------
 
-    def _engine(self, index: int, state: State, next_tid: int) -> Database:
+    def _engine(
+        self, index: int, state: State, next_tid: int, store: Optional[Store]
+    ) -> Database:
         """Shard ``index``'s engine over ``state``, allocating from
-        ``next_tid``, on the router's :attr:`interpreter`: its constraint
-        checks plan (or walk) exactly as the bodies and queries do."""
-        return Database(
+        ``next_tid``, on the router's :attr:`interpreter` (its checks plan
+        or walk exactly as the bodies and queries do), journaling to
+        ``store`` (``None`` in memory) as :meth:`Database.from_store`'s."""
+        db = Database(
             self._subschema(index),
             window=self._window,
             initial=State(state.relations, state.owner, next_tid),
@@ -307,6 +308,8 @@ class ShardedDatabase:
             strict=self.strict,
             metrics=self.metrics,
         )
+        db.store = store
+        return db
 
     def _subschema(self, index: int) -> Schema:
         """The sub-schema shard ``index`` enforces: its relations plus
@@ -384,12 +387,10 @@ class ShardedDatabase:
 
         resolutions: list[Resolution] = []
         states: list[State] = []
-        seqs: list[int] = []
         for i, recovery in enumerate(recoveries):
-            state, seq, settled = resolve_pending(
+            state, settled = resolve_pending(
                 stores[i],
                 recovery.state,
-                recovery.seq,
                 recovery.pending,
                 coordinator=coordinator,
                 applied=applied,
@@ -401,7 +402,6 @@ class ShardedDatabase:
                 for txid, decision, why in settled
             )
             states.append(state)
-            seqs.append(seq)
 
         sdb = cls(
             schema,
@@ -414,7 +414,7 @@ class ShardedDatabase:
             metrics=metrics,
             strict=strict,
             interpreter=interpreter,
-            _resume=(states, seqs, stores, coordinator),
+            _resume=(states, stores, coordinator),
         )
         report = ShardRecovery(tuple(recoveries), tuple(resolutions))
         return sdb, report
@@ -495,10 +495,10 @@ class ShardedDatabase:
     def kill_shard(self, index: int) -> _Shard:
         """Simulate the death of one shard's primary, in place.
 
-        The live :class:`_Shard` slot is detached (``db``/``store`` set to
-        ``None``) so routing sees a dead shard; the returned **zombie**
-        handle keeps the old engine and the old (about-to-be-fenced) store
-        — exactly what a deposed process still holds — and no standby.
+        The live :class:`_Shard` slot is detached (``db`` set to ``None``)
+        so routing sees a dead shard; the returned **zombie** handle keeps
+        the old engine, whose ``db.store`` is about to be fenced — exactly
+        what a deposed process still holds — and no standby.
         The chaos harness replays writes through the zombie to prove the
         fence refuses them.
         """
@@ -508,12 +508,9 @@ class ShardedDatabase:
                 index=index,
                 db=shard.db,
                 lock=threading.RLock(),
-                store=shard.store,
-                seq=shard.seq,
                 block_hi=shard.block_hi,
             )
             shard.db = None
-            shard.store = None
         self.metrics.counter(
             "repro_failover_kills_total",
             "shard primaries killed (simulated)",
@@ -552,9 +549,7 @@ class ShardedDatabase:
                 checkpoint_every=self.checkpoint_every,
             )
             lo, hi = self._grab_block()
-            shard.db = self._engine(index, promotion.state, lo)
-            shard.store = promotion.store
-            shard.seq = promotion.seq
+            shard.db = self._engine(index, promotion.state, lo, promotion.store)
             shard.block_hi = hi
         if self._detector is not None:
             duration = self._detector.mark_recovered(index)
@@ -574,8 +569,8 @@ class ShardedDatabase:
         return applied_outcomes(
             record
             for shard in self.shards
-            if shard.index != exclude and shard.store is not None
-            for record in read_journal(shard.store.journal_path).records
+            if shard.index != exclude and shard.db is not None
+            for record in read_journal(shard.db.store.journal_path).records
         )
 
     def _retry_hint(self) -> float:
@@ -632,12 +627,9 @@ class ShardedDatabase:
         )
         for shard in writers:
             prep = prepared.get(shard.index)
-            if shard.db is None or shard.store is None or prep is None:
+            if shard.db is None or prep is None:
                 continue
-            shard.seq += 1
-            shard.store.log_outcome(
-                shard.db.current, prep, "abort", seq=shard.seq
-            )
+            shard.db.store.log_outcome(shard.db.current, prep, "abort")
 
     # -- routing -----------------------------------------------------------
 
@@ -799,8 +791,9 @@ class ShardedDatabase:
         )
 
     def _make_record(
-        self, footprint, program, args, label, delta, results, latency
+        self, footprint, program, args, label, delta, checked, latency
     ) -> CommitRecord:
+        """``checked``: the ExecutionRecord of every writing shard."""
         previous, version = self._bump_version()
         write_set = frozenset(delta_touched(delta))
         return CommitRecord(
@@ -813,7 +806,9 @@ class ShardedDatabase:
             write_set=write_set,
             attempts=1,
             conflicts=(),
-            constraint_results=results,
+            constraint_results=tuple(
+                (r.constraint.name, r.ok) for ex in checked for r in ex.results
+            ),
             latency=latency,
         )
 
@@ -848,46 +843,31 @@ class ShardedDatabase:
             self._check_alive()
             if shard.db is None:
                 self._ensure_up(shard.index)  # killed since routing: heal
-            if shard.store is not None:
+            db = shard.db
+            if db.store is not None:
                 # Fail before any in-memory change if we were deposed.
-                shard.store.check_fence()
-            before = shard.db.current
+                db.store.check_fence()
+            before = db.current
             _, raw, shard.block_hi = self._run_in_block(
                 program, args, label, budget, before, shard.block_hi
             )
             self._guard_created(before, raw)
-            final = shard.db.apply(
-                raw, label=label, program_name=program.name, args=tuple(args)
-            )
-            shard.seq += 1
-            if shard.store is not None:
-                try:
-                    shard.store.log_commit(
-                        before,
-                        final,
-                        seq=shard.seq,
-                        label=label,
-                        program=program.name,
-                        args=tuple(args),
-                    )
-                except Fenced:
-                    # Deposed between the fence pre-check and the append:
-                    # we are the zombie.  Stop serving this shard — the
-                    # in-memory apply above never reached the journal, so
-                    # the promoted primary's run does not include it.
-                    store, shard.store = shard.store, None
-                    shard.db = None
-                    store.close()
-                    raise
+            try:
+                final = db.apply(
+                    raw, label=label, program_name=program.name,
+                    args=tuple(args),
+                )
+            except Fenced:
+                # Deposed between the fence pre-check and the append: the
+                # zombie stops serving; the promoted run lacks this commit.
+                shard.db = None
+                db.close()
+                raise
             self._record_created(before, final, shard.index)
-            delta = state_delta(before, final)
-            exec_record = shard.db.last_record
-            results = tuple(
-                (r.constraint.name, r.ok) for r in exec_record.results
-            )
             latency = time.perf_counter() - started
             record = self._make_record(
-                footprint, program, args, label, delta, results, latency
+                footprint, program, args, label, state_delta(before, final),
+                [db.last_record], latency,
             )
         self.metrics.counter(
             "repro_shard_commits_total",
@@ -983,25 +963,23 @@ class ShardedDatabase:
                 s for s in shards if not self._delta_empty(deltas[s.index])
             ]
 
-            results: tuple = ()
+            checked: list = []
             if writers:
                 # A fenced writer means *we* are a deposed zombie: refuse
                 # before any prepare lands anywhere.
                 for shard in writers:
-                    if shard.store is not None:
-                        shard.store.check_fence()
+                    if shard.db.store is not None:
+                        shard.db.store.check_fence()
                 txid = self.coordinator.next_txid(label)
                 prepared = {}
                 for k, shard in enumerate(writers):
                     if shard.db is None:
                         break  # died mid-window: presumed abort below
-                    shard.seq += 1
-                    if shard.store is not None:
+                    if shard.db.store is not None:
                         try:
-                            prepared[shard.index] = shard.store.log_prepare(
+                            prepared[shard.index] = shard.db.store.log_prepare(
                                 shard.db.current,
                                 staged[shard.index],
-                                seq=shard.seq,
                                 txid=txid,
                                 label=label,
                                 program=program.name,
@@ -1011,8 +989,8 @@ class ShardedDatabase:
                             # Deposed mid-window: durably abort so the
                             # landed sibling prepares resolve to abort,
                             # then stop serving the shard.
+                            shard.db.close()
                             shard.db = None
-                            shard.store = None
                             self._abort_outcomes(txid, writers, prepared)
                             raise
                     self.metrics.counter(
@@ -1057,13 +1035,9 @@ class ShardedDatabase:
                     for k, shard in enumerate(writers):
                         if shard.db is None:
                             continue  # resolves at promotion
-                        shard.seq += 1
-                        if shard.store is not None:
-                            shard.store.log_outcome(
-                                shard.db.current,
-                                prepared[shard.index],
-                                "abort",
-                                seq=shard.seq,
+                        if shard.db.store is not None:
+                            shard.db.store.log_outcome(
+                                shard.db.current, prepared[shard.index], "abort"
                             )
                         self._reach(f"outcome:{k}")
                         self._maybe_kill(f"outcome:{k}", writers)
@@ -1088,12 +1062,19 @@ class ShardedDatabase:
                         delta_touched(deltas[shard.index]),
                     )
                     try:
+                        # Journals the prepare's commit OUTCOME (and
+                        # checkpoints when the store's cadence is due).
                         final = shard.db.apply(
                             views[shard.index],
                             label=label,
                             program_name=program.name,
                             args=tuple(args),
+                            prepared=prepared.get(shard.index),
                         )
+                    except Fenced:  # deposed: stop serving the shard
+                        shard.db.close()
+                        shard.db = None
+                        raise
                     except ReproError as err:  # pragma: no cover - defensive
                         self._crashed = True
                         raise ShardError(
@@ -1112,20 +1093,8 @@ class ShardedDatabase:
                             f"shard {shard.index} applied state differs "
                             f"from the prepared one ({txid})"
                         )
-                    shard.seq += 1
-                    if shard.store is not None:
-                        shard.store.log_outcome(
-                            final, prepared[shard.index], "commit",
-                            seq=shard.seq,
-                        )
-                        if shard.seq % self.checkpoint_every == 0:
-                            shard.store.checkpoint(final, shard.seq)
                     self._record_created(merged, after, shard.index)
-                    exec_record = shard.db.last_record
-                    results = results + tuple(
-                        (r.constraint.name, r.ok)
-                        for r in exec_record.results
-                    )
+                    checked.append(shard.db.last_record)
                     self.metrics.counter(
                         "repro_shard_commits_total",
                         "transactions committed, by shard and routing mode",
@@ -1142,7 +1111,7 @@ class ShardedDatabase:
             ).observe(latency)
             record = self._make_record(
                 footprint, program, args, label,
-                state_delta(merged, after), results, latency,
+                state_delta(merged, after), checked, latency,
             )
             return after, record
         except SimulatedCrash as crash:
@@ -1245,8 +1214,8 @@ class ShardedDatabase:
             self._pool.shutdown(wait=True)
             self._pool = None
         for shard in self.shards:
-            if shard.store is not None:
-                shard.store.close()
+            if shard.db is not None:
+                shard.db.close()
         self.coordinator.close()
 
     def __enter__(self) -> "ShardedDatabase":

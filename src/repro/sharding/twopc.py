@@ -12,8 +12,8 @@ which holds every participant's commit lock for the whole window):
 3. **Decide** — the coordinator appends a DECISION record to its own
    journal and fsyncs it.  This single append is the commit point of the
    whole distributed transaction.
-4. **Apply** — each participant applies the staged delta in memory and
-   journals an OUTCOME record referencing its prepare.
+4. **Apply** — each participant's ``Database.apply(prepared=...)`` commits
+   the staged delta and journals an OUTCOME referencing its prepare.
 
 Crash anywhere and :meth:`ShardedDatabase.recover` resolves every in-doubt
 prepare by the prefix property of the journals: a durable decision record
@@ -278,7 +278,6 @@ def applied_outcomes(records: Iterable[JournalRecord]) -> dict[str, str]:
 def resolve_pending(
     store: Store,
     state: State,
-    seq: int,
     pending: Iterable[JournalRecord],
     *,
     applied: dict[str, str],
@@ -286,13 +285,14 @@ def resolve_pending(
     coordinator: Optional[Coordinator] = None,
     decisions: Optional[dict[str, str]] = None,
     shards: tuple[int, ...] = (),
-) -> tuple[State, int, list[tuple[str, str, str]]]:
+) -> tuple[State, list[tuple[str, str, str]]]:
     """Settle one shard's in-doubt prepares in journal order — the resolver
     :meth:`ShardedDatabase.recover` and
     :meth:`~repro.sharding.replica.Replica.promote` share.  Per prepare:
     :func:`resolve_in_doubt`, the decision made durable *first* (so a crash
     re-resolves identically), the delta applied on ``commit``, an OUTCOME
-    logged at the next ``seq``.  Returns the resolved head and one
+    journaled (``store`` numbers it, and takes no checkpoint while a
+    prepare is pending).  Returns the resolved head and one
     ``(txid, decision, why)`` each; ``applied`` gains every settled txid.
     """
     known = coordinator.decisions() if coordinator is not None else decisions
@@ -303,8 +303,7 @@ def resolve_pending(
             coordinator.decide(prep.txid, decision, shards=shards)
         if decision == "commit":
             state = apply_delta(state, prep.delta)
-        seq += 1
-        store.log_outcome(state, prep, decision, seq=seq)
+        store.log_outcome(state, prep, decision)
         applied[prep.txid] = decision
         resolutions.append((prep.txid, decision, why))
         metrics.counter(
@@ -312,4 +311,4 @@ def resolve_pending(
             "in-doubt 2PC transactions resolved during recovery",
             decision=decision,
         ).inc()
-    return state, seq, resolutions
+    return state, resolutions

@@ -14,10 +14,14 @@ corrupt journal tail only shortens the prefix, and nothing outside the
 committed chain can ever be produced (each record's ``post_digest`` is
 checked as the delta is replayed).
 
-Checkpointing every ``checkpoint_every`` commits bounds recovery time: a
-snapshot is written atomically and the journal is truncated to the records
-it does not cover (normally none).  Crashing between those two steps is
-safe — recovery skips journal records at or below the snapshot's sequence.
+The :class:`Store` numbers the run — every append (COMMIT, PREPARE or
+OUTCOME) takes the next :attr:`Store.seq` — and owns the checkpoint
+cadence: once ``checkpoint_every`` records were appended since the newest
+snapshot, the next COMMIT or OUTCOME that leaves no PREPARE pending (a
+snapshot would truncate it) writes a snapshot atomically and truncates the
+journal to the records it does not cover (normally none).  Crashing
+between those two steps is safe — recovery skips journal records at or
+below the snapshot's sequence.
 """
 
 from __future__ import annotations
@@ -229,7 +233,9 @@ class Recovery:
 
 
 class Store:
-    """A durable home for one database's run.
+    """A durable home for one database's run, and its one journal writer:
+    :meth:`initialize`, :meth:`recover` and :meth:`truncate` set
+    :attr:`seq`, and each append advances it by one.
 
     >>> import tempfile
     >>> from repro.domains import make_domain
@@ -270,6 +276,10 @@ class Store:
         #: open.  Stamped into every frame; re-checked against disk before
         #: every append so a promoted replica's fence bump deposes us.
         self.epoch = read_fence(self.path)
+        #: Sequence number of the newest journaled record.
+        self.seq = self._snapshot_seq = 0
+        #: Txids of journaled PREPAREs whose OUTCOME has not landed.
+        self._pending: set[str] = set()
 
     # -- paths -------------------------------------------------------------
 
@@ -330,19 +340,29 @@ class Store:
         if not self.is_fresh():
             raise ReproError(f"store {self.path} already holds a run")
         write_snapshot(os.path.join(self.path, snapshot_filename(0)), 0, state)
+        self.seq = self._snapshot_seq = 0
+
+    def truncate(self, seq: int) -> None:
+        """Cut the journal back to ``seq`` and number on from there (a
+        promoted replica's applied prefix); unresolved PREPAREs stay pending."""
+        keep = [r for r in read_journal(self.journal_path).records if r.seq <= seq]
+        self.journal.replace_with(tuple(keep))
+        newest = self.snapshot_files()
+        self.seq, self._snapshot_seq = seq, newest[0][0] if newest else 0
+        self._pending = {r.txid for r in keep if r.kind == "prepare"}
+        self._pending -= {r.txid for r in keep if r.kind == "outcome"}
 
     def log_commit(
         self,
         before: State,
         after: State,
         *,
-        seq: int,
         label: str,
         program: Optional[str] = None,
         args: tuple[object, ...] = (),
         snapshot_version: Optional[int] = None,
     ) -> JournalRecord:
-        """Journal one commit (and checkpoint when the interval is due).
+        """Journal one commit (and checkpoint when the cadence is due).
 
         Called by the engine inside the commit critical section, so appends
         are naturally serialized in commit order.
@@ -350,7 +370,6 @@ class Store:
         self.check_fence()
         delta = state_delta(before, after)
         record = self._append(
-            seq=seq,
             label=label,
             program=program,
             args=tuple(encode_args(tuple(args))),
@@ -358,8 +377,7 @@ class Store:
             delta=delta,
             post_digest=touched_digest(after, delta_touched(delta)),
         )
-        if seq % self.checkpoint_every == 0:
-            self.checkpoint(after, seq)
+        self._checkpoint_if_due(after)
         return record
 
     def log_prepare(
@@ -367,7 +385,6 @@ class Store:
         before: State,
         staged: State,
         *,
-        seq: int,
         txid: str,
         label: str,
         program: Optional[str] = None,
@@ -377,15 +394,13 @@ class Store:
         """Journal a two-phase-commit PREPARE: the delta to ``staged`` is
         durable but **not applied** until a matching OUTCOME record lands.
 
-        The caller (the sharding layer's coordinator) must hold this
-        shard's commit lock for the whole prepare→decide→apply window, so
-        no checkpoint can truncate a pending prepare out from under its
-        outcome.
+        The caller (the sharding layer's coordinator) holds this shard's
+        commit lock for the whole prepare→decide→apply window; the store
+        itself takes no checkpoint while the prepare is pending.
         """
         self.check_fence()
         delta = state_delta(before, staged)
-        return self._append(
-            seq=seq,
+        record = self._append(
             label=label,
             program=program,
             args=tuple(encode_args(tuple(args))),
@@ -395,16 +410,17 @@ class Store:
             kind="prepare",
             txid=txid,
         )
+        self._pending.add(txid)
+        return record
 
     def log_outcome(
         self,
         state: State,
         prepare: JournalRecord,
         decision: str,
-        *,
-        seq: int,
     ) -> JournalRecord:
-        """Journal the decision for a pending ``prepare``.
+        """Journal the decision for a pending ``prepare`` (and checkpoint
+        when the cadence is due and no other prepare is pending).
 
         ``state`` is the shard state *after* honoring the decision (the
         prepared delta applied for ``"commit"``, unchanged for
@@ -415,8 +431,7 @@ class Store:
         if decision not in ("commit", "abort"):
             raise ReproError(f"unknown 2PC decision {decision!r}")
         self.check_fence()
-        return self._append(
-            seq=seq,
+        record = self._append(
             label=prepare.label,
             program=prepare.program,
             args=prepare.args,
@@ -426,28 +441,44 @@ class Store:
             kind="outcome",
             txid=prepare.txid,
         )
-
-    def _append(self, **fields) -> JournalRecord:
-        """Journal one record stamped with this writer's epoch (the stamp
-        is omitted on implicit epoch 1, so pre-failover journals stay
-        byte-compatible).  Callers check the fence first."""
-        record = JournalRecord(
-            epoch=self.epoch if self.epoch > 1 else None, **fields
-        )
-        self.journal.append(record)
+        self._pending.discard(prepare.txid)
+        self._checkpoint_if_due(state)
         return record
 
-    def checkpoint(self, state: State, seq: int) -> None:
-        """Write a snapshot for ``seq`` and truncate the journal to the
-        records it does not cover."""
+    def _append(self, **fields) -> JournalRecord:
+        """Journal one record at the next ``seq``, stamped with this
+        writer's epoch (omitted on implicit epoch 1, so pre-failover
+        journals stay byte-compatible).  Callers check the fence first."""
+        record = JournalRecord(
+            seq=self.seq + 1,
+            epoch=self.epoch if self.epoch > 1 else None,
+            **fields,
+        )
+        self.journal.append(record)
+        self.seq = record.seq
+        return record
+
+    def _checkpoint_if_due(self, state: State) -> None:
+        """The cadence: checkpoint ``state`` once ``checkpoint_every``
+        records have been appended since the newest snapshot, unless a
+        PREPARE is pending (the snapshot would cover and truncate it)."""
+        due = self.seq - self._snapshot_seq >= self.checkpoint_every
+        if due and not self._pending:
+            self.checkpoint(state)
+
+    def checkpoint(self, state: State) -> None:
+        """Write ``state`` as the snapshot for :attr:`seq` and truncate the
+        journal to the records it does not cover."""
         self.check_fence()
         started = time.perf_counter() if self.metrics is not None else 0.0
+        seq = self.seq
         write_snapshot(
             os.path.join(self.path, snapshot_filename(seq)), seq, state
         )
         scan = read_journal(self.journal_path)
         keep = tuple(r for r in scan.records if r.seq > seq)
         self.journal.replace_with(keep)
+        self._snapshot_seq = seq
         self._prune_snapshots()
         if self.metrics is not None:
             self.metrics.histogram(
@@ -464,9 +495,6 @@ class Store:
                 os.remove(stale)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-
-    def sync(self) -> None:
-        self.journal.flush()
 
     def close(self) -> None:
         self.journal.close()
@@ -485,7 +513,7 @@ class Store:
         Loads the newest *valid* snapshot (corrupt ones fall back to older
         ones), then replays journal records in sequence order, stopping
         cleanly at the first torn/corrupt frame, sequence gap, or post-state
-        digest mismatch.
+        digest mismatch.  The store numbers on from the recovered head.
         """
         base = newest_snapshot(self.path)
         if base is None:
@@ -500,6 +528,8 @@ class Store:
         reason = scan.reason
         if skipped:
             reason = f"{skipped} corrupt snapshot(s) skipped; {reason}"
+        self.seq, self._snapshot_seq = fold.seq, snapshot_at
+        self._pending = set(fold.pending)
         return Recovery(
             state=fold.state,
             seq=fold.seq,

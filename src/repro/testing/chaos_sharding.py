@@ -586,21 +586,18 @@ def _deferred_total(sdb: ShardedDatabase) -> int:
 def _replay_zombie(zombie, report: FailoverChaosReport) -> None:
     """Replay a commit and a PREPARE through the deposed primary's store
     handle: both must be refused with a typed :class:`Fenced`."""
-    if zombie.store is None or zombie.db is None:
+    if zombie.db is None or zombie.db.store is None:
         return
-    state = zombie.db.current
+    store, state = zombie.db.store, zombie.db.current
     for attempt in ("commit", "prepare"):
         report.zombie_writes += 1
         try:
             if attempt == "commit":
-                zombie.store.log_commit(
-                    state, state, seq=zombie.seq + 1, label="zombie-write"
-                )
+                store.log_commit(state, state, label="zombie-write")
             else:
-                zombie.store.log_prepare(
+                store.log_prepare(
                     state,
                     state,
-                    seq=zombie.seq + 1,
                     txid="zombie-tx",
                     label="zombie-prepare",
                 )
@@ -609,6 +606,6 @@ def _replay_zombie(zombie, report: FailoverChaosReport) -> None:
         except BaseException as err:  # noqa: BLE001
             report.untyped_errors.append(f"zombie write: {err!r}")
     try:
-        zombie.store.close()
+        store.close()
     except (OSError, ReproError):  # pragma: no cover
         pass

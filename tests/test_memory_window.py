@@ -149,3 +149,35 @@ class TestShards:
         del newest
         for refs in per_shard.values():
             assert len(alive(refs)) <= WINDOW
+
+    @pytest.mark.parametrize("single_first", [0, 1])
+    def test_cross_shard_traffic_keeps_every_writer_journal_bounded(
+        self, schema, programs, tmp_path, single_first
+    ):
+        """A cross-shard commit writes two records per writer (PREPARE,
+        OUTCOME); the checkpoint cadence still fires, whether the writer's
+        outcome seqs land even or odd."""
+        from repro.storage.journal import read_journal
+        from repro.storage.snapshot import snapshot_files
+
+        placement = {"A": 0, "B": 1}
+        sdb = ShardedDatabase(
+            schema, shards=2, path=str(tmp_path), placement=placement,
+            checkpoint_every=4,
+        )
+        for i in range(single_first):
+            sdb.execute(programs["put_a"], 1000 + i, i)
+        for i in range(40):
+            sdb.execute(programs["put_ab"], i, i)
+        for shard in sdb.shards:
+            store = shard.db.store
+            assert snapshot_files(store.path)[0][0] > 0
+            assert len(read_journal(store.journal_path).records) < 8
+        sdb.close()
+        sdb2, report = ShardedDatabase.recover(
+            schema, str(tmp_path), placement=placement, checkpoint_every=4
+        )
+        assert report.clean
+        assert report.resolutions == ()
+        assert all(not r.pending for r in report.shards)
+        sdb2.close()

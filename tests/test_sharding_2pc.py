@@ -21,9 +21,15 @@ from repro.sharding import (
     TwoPhaseFaults,
     resolve_in_doubt,
 )
+from repro.storage.journal import read_journal
 from repro.transactions.program import query, transaction
 
 x, y = b.atom_var("x"), b.atom_var("y")
+
+# CI's crash-recovery matrix runs this suite under both sync policies: the
+# PREPARE and OUTCOME records must recover whether appends are fsynced or
+# OS-buffered.
+SYNC = os.environ.get("REPRO_SYNC_POLICY", "commit")
 
 
 def two_stripe_schema() -> Schema:
@@ -44,6 +50,16 @@ signup = transaction(
 put_user = transaction(
     "put-user", (x, y), b.insert(b.mktuple(x, y), "USERS")
 )
+# Writes USERS (shard 0) after reading EVENTS (shard 1): a 2PC commit with
+# one writer and one participant that only reads.
+guarded_put = transaction(
+    "guarded-put",
+    (x, y),
+    b.ifthen(
+        b.lt(b.size_of(b.rel("EVENTS", 2)), b.atom(100)),
+        b.insert(b.mktuple(x, y), "USERS"),
+    ),
+)
 n_users = query("n-users", (), b.size_of(b.rel("USERS", 2)))
 n_events = query("n-events", (), b.size_of(b.rel("EVENTS", 2)))
 
@@ -60,6 +76,7 @@ CRASH_MATRIX = [
 
 
 def fresh_db(path, **kwargs):
+    kwargs.setdefault("sync", SYNC)
     sdb = ShardedDatabase(
         two_stripe_schema(),
         shards=2,
@@ -69,6 +86,11 @@ def fresh_db(path, **kwargs):
     )
     assert sdb.plan.shard_of("USERS") != sdb.plan.shard_of("EVENTS")
     return sdb
+
+
+def journal(sdb, index):
+    """Shard ``index``'s journal records, read through its engine's store."""
+    return read_journal(sdb.shards[index].db.store.journal_path).records
 
 
 class TestCrashMatrix:
@@ -279,3 +301,75 @@ class TestDurableSingleShard:
         kinds = {r.kind for r in scan.records}
         # Only the epoch marker — zero decisions, zero coordination.
         assert "decision" not in kinds
+
+
+class TestShardJournal:
+    """A durable shard's journal is its engine's store: the store numbers
+    every record, the engine journals each commit, and the router writes
+    only PREPAREs (and abort OUTCOMEs) to the same store."""
+
+    def test_store_is_the_shard_directory_after_recover_and_promote(
+        self, tmp_path
+    ):
+        expected = [str(tmp_path / f"shard-{i}") for i in range(2)]
+        sdb = fresh_db(tmp_path)
+        assert [s.db.store.path for s in sdb.shards] == expected
+        sdb.execute(signup, 1, 1)
+        sdb.close()
+        sdb2, _ = ShardedDatabase.recover(
+            two_stripe_schema(), str(tmp_path),
+            placement={"USERS": 0, "EVENTS": 1}, sync=SYNC,
+        )
+        assert [s.db.store.path for s in sdb2.shards] == expected
+        zombie = sdb2.kill_shard(0)
+        promotion = sdb2.promote_shard(0)
+        assert sdb2.shards[0].db.store is promotion.store
+        assert [s.db.store.path for s in sdb2.shards] == expected
+        assert promotion.store.seq == promotion.seq
+        sdb2.execute(put_user, 2, 2)
+        assert journal(sdb2, 0)[-1].seq == promotion.seq + 1
+        zombie.db.store.close()
+        sdb2.close()
+
+    def test_single_shard_commit_appends_one_commit_record(self, tmp_path):
+        sdb = fresh_db(tmp_path)
+        sdb.execute(signup, 1, 1)
+        before = journal(sdb, 0)
+        events = journal(sdb, 1)
+        sdb.execute(put_user, 2, 2)
+        appended = journal(sdb, 0)[len(before):]
+        assert [r.kind for r in appended] == ["commit"]
+        assert appended[0].seq == before[-1].seq + 1
+        assert appended[0].seq == sdb.shards[0].db.store.seq
+        assert journal(sdb, 1) == events
+        sdb.close()
+
+    def test_cross_shard_commit_appends_prepare_then_outcome(self, tmp_path):
+        sdb = fresh_db(tmp_path)
+        sdb.execute(put_user, 0, 0)
+        heads = [sdb.shards[i].db.store.seq for i in range(2)]
+        sdb.execute(signup, 1, 1)
+        for i in range(2):
+            appended = journal(sdb, i)[-2:]
+            assert [r.kind for r in appended] == ["prepare", "outcome"]
+            assert [r.seq for r in appended] == [heads[i] + 1, heads[i] + 2]
+            assert appended[0].txid == appended[1].txid
+            assert appended[1].delta["decision"] == "commit"
+            assert sdb.shards[i].db.store.seq == heads[i] + 2
+        sdb.close()
+
+    def test_cross_shard_commit_journals_nothing_on_a_non_writer(
+        self, tmp_path
+    ):
+        sdb = fresh_db(tmp_path)
+        sdb.execute(signup, 0, 0)
+        users, events = journal(sdb, 0), journal(sdb, 1)
+        cross = sdb.stats()["cross_shard_commits"]
+        sdb.execute(guarded_put, 1, 1)
+        assert sdb.stats()["cross_shard_commits"] == cross + 1
+        assert [r.kind for r in journal(sdb, 0)[len(users):]] == [
+            "prepare", "outcome",
+        ]
+        assert journal(sdb, 1) == events
+        assert sdb.query(n_users) == 2
+        sdb.close()

@@ -306,13 +306,12 @@ class TestPromotion:
             db.execute(put, 2, 2)
         with pytest.raises(Fenced):
             db.store.log_prepare(
-                db.current, db.current, seq=99, txid="t-zombie",
+                db.current, db.current, txid="t-zombie",
                 label="zombie",
             )
         # The new primary's store accepts writes at the new epoch.
         promotion.store.log_commit(
-            promotion.state, promotion.state,
-            seq=promotion.seq + 1, label="new-primary",
+            promotion.state, promotion.state, label="new-primary",
         )
         promotion.store.close()
         db.close()
@@ -325,8 +324,7 @@ class TestPromotion:
         promotion = Replica(str(tmp_path)).promote()
         # One commit in the new epoch, so followers replay a stamped frame.
         promotion.store.log_commit(
-            promotion.state, promotion.state,
-            seq=promotion.seq + 1, label="post-promotion",
+            promotion.state, promotion.state, label="post-promotion",
         )
         promotion.store.close()
         fresh = Replica(str(tmp_path))
@@ -377,11 +375,10 @@ class TestShardedFailover:
         assert sdb.query(n_a) == 2
         # The deposed primary's handle is fenced out.
         with pytest.raises(Fenced):
-            zombie.store.log_commit(
-                zombie.db.current, zombie.db.current,
-                seq=zombie.seq + 1, label="zombie",
+            zombie.db.store.log_commit(
+                zombie.db.current, zombie.db.current, label="zombie",
             )
-        zombie.store.close()
+        zombie.db.store.close()
         sdb.close()
 
     def test_failover_tick_heals_an_idle_shard(self, tmp_path):
@@ -427,7 +424,7 @@ class TestShardedFailover:
         assert sdb.promote_shard(zombies[0].index) is not None
         assert sdb.query(n_a) == 1
         assert sdb.query(n_b) == 1
-        zombies[0].store.close()
+        zombies[0].db.store.close()
         sdb.close()
 
     @pytest.mark.parametrize("point", [
@@ -451,7 +448,7 @@ class TestShardedFailover:
         sdb.faults = None
         if zombies:  # outcome:1 after both applied may not need healing
             sdb.promote_shard(zombies[0].index)
-            zombies[0].store.close()
+            zombies[0].db.store.close()
         assert sdb.query(n_a) == 2
         assert sdb.query(n_b) == 2
         sdb.close()
@@ -472,12 +469,11 @@ class TestShardedFailover:
             ab_schema(), str(tmp_path), placement={"A": 0, "B": 1}
         )
         with pytest.raises(Fenced):
-            zombie.store.log_commit(
-                zombie.db.current, zombie.db.current,
-                seq=zombie.seq + 1, label="zombie",
+            zombie.db.store.log_commit(
+                zombie.db.current, zombie.db.current, label="zombie",
             )
         assert sdb2.query(n_a) == 1
-        zombie.store.close()
+        zombie.db.store.close()
         sdb.close()
         sdb2.close()
 
@@ -498,11 +494,10 @@ class TestShardedFailover:
         assert sdb.query(n_a) == 3
         for z in (z1, z2):
             with pytest.raises(Fenced):
-                z.store.log_commit(
-                    z.db.current, z.db.current, seq=z.seq + 1,
-                    label="zombie",
+                z.db.store.log_commit(
+                    z.db.current, z.db.current, label="zombie",
                 )
-            z.store.close()
+            z.db.store.close()
         sdb.close()
 
     def test_failover_requires_a_durable_database(self):

@@ -218,8 +218,7 @@ class TestShardReplica:
         promotion = Replica(str(tmp_path / f"shard-{shard}")).promote()
         assert promotion.epoch == 2
         promotion.store.log_commit(
-            promotion.state, promotion.state,
-            seq=promotion.seq + 1, label="post-promotion",
+            promotion.state, promotion.state, label="post-promotion",
         )
 
         # The racing follower's next poll re-bases from the promotion

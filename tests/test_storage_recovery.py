@@ -323,3 +323,78 @@ class TestAttachResume:
         with pytest.raises(ReproError):
             store.initialize(tiny_state)
         store.close()
+
+
+class TestStoreNumbersRecords:
+    """The store is the run's one numberer: its writers take no sequence
+    number, and ``Store.seq`` is always the newest journaled record's."""
+
+    def test_seq_follows_initialize_appends_and_recover(self, tmp_path):
+        schema = put_schema()
+        put = put_programs()[0]
+        store = Store(tmp_path / "store", checkpoint_every=100, sync=SYNC)
+        state = Database(schema).current
+        store.initialize(state)
+        assert store.seq == 0
+        after = put.run(state, "a", 1)
+        record = store.log_commit(state, after, label="put")
+        assert record.seq == store.seq == 1
+        staged = put.run(after, "b", 2)
+        prepare = store.log_prepare(after, staged, txid="t1", label="put")
+        assert prepare.seq == store.seq == 2
+        outcome = store.log_outcome(staged, prepare, "commit")
+        assert outcome.seq == store.seq == 3
+        store.close()
+
+        reopened = Store(tmp_path / "store", sync=SYNC)
+        recovery = reopened.recover()
+        assert recovery.seq == reopened.seq == 3
+        assert exact(recovery.state, staged)
+        nxt = reopened.log_commit(staged, put.run(staged, "c", 3), label="put")
+        assert nxt.seq == 4
+        reopened.close()
+        assert Store(tmp_path / "store").recover().seq == 4
+
+    def test_cadence_never_checkpoints_over_a_pending_prepare(self, tmp_path):
+        """Due on every record, the cadence still waits until no PREPARE
+        is pending: a snapshot would truncate the other one's record."""
+        schema = put_schema()
+        put = put_programs()[0]
+        store = Store(tmp_path / "store", checkpoint_every=1, sync=SYNC)
+        state = Database(schema).current
+        store.initialize(state)
+        p1 = store.log_prepare(state, put.run(state, "a", 1), txid="t1",
+                               label="put")
+        p2 = store.log_prepare(state, put.run(state, "b", 2), txid="t2",
+                               label="put")
+        store.log_outcome(state, p1, "abort")
+        assert [seq for seq, _ in store.snapshot_files()] == [0]
+        store.log_outcome(state, p2, "abort")
+        assert [seq for seq, _ in store.snapshot_files()][0] == 4
+        store.close()
+        recovery = Store(tmp_path / "store").recover()
+        assert recovery.clean and recovery.seq == 4 and not recovery.pending
+
+    def test_promoted_store_numbers_on_from_the_applied_prefix(
+        self, tmp_path
+    ):
+        from repro.sharding.replica import Replica
+
+        schema = put_schema()
+        put = put_programs()[0]
+        db = Database(schema, window=2)
+        db.durable(tmp_path / "store", sync=SYNC)
+        for i in range(3):
+            db.execute(put, f"k{i}", i)
+        promotion = Replica(str(tmp_path / "store")).promote(sync=SYNC)
+        assert promotion.seq == promotion.store.seq == 3
+        after = put.run(promotion.state, "new", 9)
+        record = promotion.store.log_commit(
+            promotion.state, after, label="post-promotion"
+        )
+        assert record.seq == promotion.seq + 1
+        promotion.store.close()
+        db.close()
+        fresh = Replica(str(tmp_path / "store"))
+        assert fresh.applied_seq == promotion.seq + 1
+        assert exact(fresh.state, after)

@@ -73,21 +73,21 @@ class Run:
     def commit(self, k, v) -> None:
         after = put.run(self.state, k, v)
         self.seq += 1
-        self.store.log_commit(self.state, after, seq=self.seq, label="put")
+        self.store.log_commit(self.state, after, label="put")
         self.state = after
 
     def prepare(self, txid, k, v) -> JournalRecord:
         self.seq += 1
         return self.store.log_prepare(
             self.state, put.run(self.state, k, v),
-            seq=self.seq, txid=txid, label="put",
+            txid=txid, label="put",
         )
 
     def outcome(self, prep, decision) -> None:
         if decision == "commit":
             self.state = apply_delta(self.state, prep.delta)
         self.seq += 1
-        self.store.log_outcome(self.state, prep, decision, seq=self.seq)
+        self.store.log_outcome(self.state, prep, decision)
 
     def record(self, **fields) -> JournalRecord:
         """A well-formed record for the next sequence number (a commit
