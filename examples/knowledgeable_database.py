@@ -5,7 +5,8 @@ Two tools from the reproduction's extension layer:
 1. the **checkability spectrum** — what window the schema's constraint set
    demands, and where the history encoding buys a cheaper equivalent;
 2. **verify-and-trust** — constraints *proved* preserved by a transaction
-   are skipped at runtime, trading one offline proof for every future check.
+   are skipped at runtime, trading one offline proof for every future check;
+   every ``Database`` does this by itself for the programs it commits.
 
 Run:  python examples/knowledgeable_database.py
 """
@@ -47,6 +48,18 @@ def main() -> None:
         f"executing birthday (untrusted): {len(record.results)} constraint(s) "
         f"checked, {len(record.skipped)} skipped"
     )
+
+    print("\n--- proved at the first commit, skipped from then on -------")
+    db = Database(domain.schema, window=2, initial=domain.sample_state())
+    for skill in (8, 9):
+        db.execute(domain.add_skill, "bob", skill)
+        record = db.last_record
+        print(
+            f"add-skill: {len(record.results)} checked, "
+            f"{len(record.skipped)} skipped by proof"
+        )
+    for skip in record.skipped:
+        print(f"  skipped {skip.constraint.name}: {skip.reason}")
 
 
 if __name__ == "__main__":

@@ -861,7 +861,10 @@ def _window_holds(planner, interp, model, q: WindowQuery) -> bool:
                 holds = False
     if holds and chain:
         keys = {a: {(c.tid, c.values) for c in domain} for a, domain in domains.items()}
-        held[0] = (states, model.max_transition_length, keys)
+        # Weakly: a plan its commits skip must not keep its last window's
+        # states alive past the history window.
+        refs = [weakref.ref(state) for state in states]
+        held[0] = (refs, model.max_transition_length, keys)
     else:
         held[0] = None
     return holds
@@ -879,10 +882,12 @@ def _covered(held, states) -> int:
     """How many leading states of the chain ``states`` the chain a plan last
     ``held`` over covered: ``k`` when ``states[:k]`` is a contiguous run of
     it (compared by identity) along which its model enumerated every
-    transition, else ``0``."""
+    transition, else ``0``.  The held chain is weak references: a collected
+    state is one no live window holds, so it matches nothing."""
     if held is None:
         return 0
-    before, hops, _ = held
+    refs, hops, _ = held
+    before = [ref() for ref in refs]
     start = next((i for i, state in enumerate(before) if state is states[0]), None)
     if start is None:
         return 0

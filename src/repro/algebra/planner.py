@@ -149,9 +149,9 @@ class QueryPlanner:
 
     def held(self, q) -> list:
         """Where the executor keeps what the plan ``q`` last held over — a
-        window plan its window, a closed ``forall`` a weak reference to its
-        state: a one-element list in ``_held``, dropped with the compiled
-        plan."""
+        window plan weak references to its window's states, a closed
+        ``forall`` a weak reference to its state: a one-element list in
+        ``_held``, dropped with the compiled plan."""
         with self._lock:
             return self._weak(self._held, q, lambda: [None])
 

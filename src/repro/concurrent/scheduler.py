@@ -499,7 +499,7 @@ class TransactionManager:
             final = self.database.apply(
                 merged,
                 label=label,
-                program_name=program.name,
+                program=program,
                 args=args,
                 snapshot_version=snapshot_version,
             )

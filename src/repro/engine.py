@@ -7,7 +7,10 @@
 * the schema's integrity constraints, checked after every transaction with
   as much history as each constraint needs — a constraint needing more
   history than the window is either rejected eagerly (``strict=True``) or
-  skipped with a record (``strict=False``),
+  skipped with a record (``strict=False``), and a constraint proved
+  preserved by the committing program is not checked at all
+  (:meth:`Database._proof`, the paper's "transaction verification combined
+  with constraint validation"),
 * registered :class:`~repro.constraints.history.HistoryEncoding` transforms
   (Example 4's FIRE relation) that run after every transaction, and
 * an interpreter that answers set formers, quantifiers, aggregates and
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -46,6 +50,7 @@ from repro.db.evolution import History
 from repro.db.state import State, initial_state
 from repro.db.schema import Schema
 from repro.db.values import Value
+from repro.eval.footprint import constraint_footprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile
 from repro.obs.trace import Tracer
@@ -59,7 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class SkippedCheck:
-    """A constraint that could not be checked with the maintained window."""
+    """A constraint a commit did not check: trusted or proved preserved by
+    the committing program, or not checkable with the maintained window."""
 
     constraint: Constraint
     reason: str
@@ -142,6 +148,14 @@ class Database:
         self.last_record: Optional[ExecutionRecord] = None
         self._windows: dict[str, int | Window] = {}
         self._trusted: set[tuple[str, str]] = set()
+        # id(program) -> (weak ref, {id(constraint): (constraint, skip)}):
+        # the proof table, see _proof.
+        self._proofs: dict[int, tuple[weakref.ref, dict]] = {}
+        # id(constraint) -> (constraint, may a proof stand in for it?)
+        self._provable: dict[int, tuple[Constraint, bool]] = {}
+        # id(constraint) -> constraint, for each constraint known to hold
+        # over the current window: the base a proved skip builds on.
+        self._holding: dict[int, Constraint] = {}
         self.store: Optional["Store"] = None
         self._planner: Optional[QueryPlanner] = interpreter.planner
         self._warn_unenforced()
@@ -204,6 +218,66 @@ class Database:
             return True
         return False
 
+    def _proof(
+        self, c: Constraint, program: DatabaseProgram
+    ) -> Optional[SkippedCheck]:
+        """The skip a proof that ``program`` preserves ``c`` earns, or
+        ``None`` when ``c`` must be checked.
+
+        The first time a commit carries ``program``, each constraint is
+        proved against it once with the
+        :class:`~repro.verification.verifier.Verifier` — regression, then
+        resolution bounded by the prover's step limit — and every verdict
+        is kept, so no pair is tried twice.  Only ``PROVED`` skips, and
+        only for a constraint a proof can stand in for
+        (:meth:`_may_prove`).  The table is keyed by the program *object*,
+        held weakly: another object under the same name is proved afresh,
+        and a dropped program takes its verdicts with it.  Name-only
+        commits (``apply(after, program_name=…)``) never reach here.
+        """
+        if not self._may_prove(c):
+            return None
+        key = id(program)
+        entry = self._proofs.get(key)
+        if entry is None or entry[0]() is not program:
+            table = self._proofs
+            ref = weakref.ref(program, lambda _, key=key: table.pop(key, None))
+            entry = table[key] = (ref, {})
+        verdicts = entry[1]
+        found = verdicts.get(id(c))
+        if found is None or found[0] is not c:
+            from repro.verification.verifier import Verdict, Verifier
+
+            result = Verifier().verify(c, program)
+            skip = None
+            if result.verdict is Verdict.PROVED:
+                skip = SkippedCheck(
+                    c, f"proved preserved by {program.name}: {result.detail}"
+                )
+            found = verdicts[id(c)] = (c, skip)
+        return found[1]
+
+    def _may_prove(self, c: Constraint) -> bool:
+        """Can a proof stand in for checking ``c`` at a commit?
+
+        The VC replaces ``c``'s transition variable with *one* run of the
+        program, so ``c`` must need a window of 1 or 2 states.  It covers
+        the program's body, not a history encoding's ``record`` step, so
+        while an encoding is registered ``c``'s footprint must be bounded
+        and miss every log (its relations include each relation of an
+        arity it quantifies over).  Cached per constraint object until
+        :meth:`register_encoding`.
+        """
+        found = self._provable.get(id(c))
+        if found is None or found[0] is not c:
+            logs = {encoding.log_name for encoding in self.encodings}
+            ok = self.required_window(c) in (1, 2)
+            if ok and logs:
+                footprint = constraint_footprint(c, self.schema)
+                ok = not (footprint.universe or logs & footprint.relations)
+            found = self._provable[id(c)] = (c, ok)
+        return found[1]
+
     def register_encoding(self, encoding: HistoryEncoding) -> None:
         """Register a history encoding; its log relation is added to the
         schema and to the current state.
@@ -220,6 +294,10 @@ class Database:
         if self._planner is not None:
             # A formula refused over the old schema may compile now.
             self._planner.invalidate_negative()
+        # The encoding writes a relation constraints may read, and the head
+        # changed: prove-or-check eligibility and the base start over.
+        self._provable.clear()
+        self._holding.clear()
         self._warn_unenforced()
 
     def required_window(self, constraint: Constraint) -> int | Window:
@@ -332,6 +410,8 @@ class Database:
                     f"store {store.path} holds a different run "
                     f"({recovery.summary()}); recover with Database.from_store"
                 )
+            if not recovery.clean:
+                store.truncate(recovery.seq)
         self.store = store
         return store
 
@@ -351,7 +431,8 @@ class Database:
         Returns the database positioned at the recovered state plus the
         :class:`~repro.storage.store.Recovery` evidence (how many commits
         came from the snapshot vs. the journal tail, and whether the journal
-        ended cleanly).
+        ended cleanly).  A journal that did not end cleanly is cut back to
+        the recovered prefix before the first new append.
         """
         from repro.storage.store import Store
 
@@ -367,6 +448,10 @@ class Database:
             metrics=db_kwargs["metrics"],
         )
         recovery = store.recover()
+        if not recovery.clean:
+            # Cut the bad tail, or the next recovery stops at it again and
+            # drops every commit appended after it.
+            store.truncate(recovery.seq)
         db = cls(schema, initial=recovery.state, **db_kwargs)
         db.store = store
         return db, recovery
@@ -427,13 +512,14 @@ class Database:
         after = program.run(
             self.current, *args, interpreter=self.interpreter.metered(budget)
         )
-        return self._commit(after, label, program.name, args=args)
+        return self._commit(after, label, program.name, program, args=args)
 
     def apply(
         self,
         after: State,
         *,
         label: str = "tx",
+        program: Optional[DatabaseProgram] = None,
         program_name: Optional[str] = None,
         args: tuple[object, ...] = (),
         snapshot_version: Optional[int] = None,
@@ -445,16 +531,20 @@ class Database:
         This is the commit half of :meth:`execute`, exposed for callers that
         evaluate transactions elsewhere — the optimistic scheduler of
         :mod:`repro.concurrent` evaluates against snapshots off-thread and
-        commits merged states through here.  ``program_name`` enables
-        trust-pair skipping when the post-state came from a known program;
-        ``args`` and ``snapshot_version`` flow into the journal's logical
-        metadata when the database is durable.
+        commits merged states through here.  ``program`` is the program
+        object the post-state came from: a constraint proved preserved by
+        it is skipped (:meth:`_proof`), and its name is ``program_name``.
+        ``program_name`` alone enables only :meth:`trust` pairs — a name is
+        no proof.  ``args`` and ``snapshot_version`` flow into the journal's
+        logical metadata when the database is durable.
         ``prepared`` is the PREPARE record this commit completes (the apply
         step of :mod:`repro.sharding.twopc`): the store then journals its
         commit OUTCOME instead of a COMMIT record.
         """
+        if program is not None:
+            program_name = program.name
         return self._commit(
-            after, label, program_name, args=args,
+            after, label, program_name, program, args=args,
             snapshot_version=snapshot_version, prepared=prepared,
         )
 
@@ -488,31 +578,49 @@ class Database:
         before = self.current
         for encoding in self.encodings:
             after = encoding.record(before, after)
-        self._check(after, label, program_name)[0].raise_if_violated()
+        self._check(after, label, program_name, None)[0].raise_if_violated()
         return after
 
     def _check(
-        self, after: State, label: str, program_name: Optional[str]
-    ) -> tuple[ExecutionRecord, Optional[History]]:
+        self,
+        after: State,
+        label: str,
+        program_name: Optional[str],
+        program: Optional[DatabaseProgram],
+    ) -> tuple[ExecutionRecord, Optional[History], dict[int, Constraint]]:
         """The constraint loop of commit and rehearsal alike.
 
-        Per constraint: skip a trusted (constraint, program) pair, then one
-        the window cannot check (``strict`` raises instead), else check it
-        over the window advanced to ``after``.  Every constraint is
-        evaluated before any verdict is acted on, all over one partial
-        model of the candidate window.  Returns the record and the
-        candidate history advanced to ``after``, or ``None`` when no
-        constraint needed it: the fork is lazy, so a transaction whose
-        constraints are all skipped never pays for copying the window.
+        Per constraint: skip a trusted (constraint, program name) pair;
+        skip one ``program`` is proved to preserve (:meth:`_proof`) if the
+        constraint holds over the current window — the proof carries it
+        over ``program``'s step, it does not establish it; skip one the
+        window cannot check (``strict`` raises instead); else check it over
+        the window advanced to ``after``.  Every constraint is evaluated
+        before any verdict is acted on, all over one partial model of the
+        candidate window.  Returns the record, the candidate history
+        advanced to ``after`` — or ``None`` when no constraint needed it:
+        the fork is lazy, so a transaction whose constraints are all
+        skipped never pays for copying the window — and the constraints
+        that hold over that window if the commit goes ahead (checked, or
+        proved from a window they held over).
         """
         record = ExecutionRecord(label)
         candidate: Optional[History] = None
         model: Optional[PartialModel] = None
+        holding: dict[int, Constraint] = {}
         for c in self.schema.constraints:
             if program_name is not None and (c.name, program_name) in self._trusted:
                 record.skipped.append(
                     SkippedCheck(c, f"verified preserved by {program_name}")
                 )
+                continue
+            if (
+                program is not None
+                and (proved := self._proof(c, program)) is not None
+                and self._holding.get(id(c)) is c
+            ):
+                record.skipped.append(proved)
+                holding[id(c)] = c
                 continue
             reason = self._unenforceable(c)
             if reason is not None:
@@ -527,13 +635,15 @@ class Database:
             record.results.append(
                 check_history(c, candidate, self.interpreter, model=model)
             )
-        return record, candidate
+            holding[id(c)] = c
+        return record, candidate, holding
 
     def _commit(
         self,
         after: State,
         label: str,
         program_name: Optional[str],
+        program: Optional[DatabaseProgram] = None,
         *,
         args: tuple[object, ...] = (),
         snapshot_version: Optional[int] = None,
@@ -542,7 +652,9 @@ class Database:
         before = self.current
         for encoding in self.encodings:
             after = encoding.record(before, after)
-        record, candidate = self._check(after, label, program_name)
+        record, candidate, holding = self._check(
+            after, label, program_name, program
+        )
         self.last_record = record
         record.raise_if_violated()
 
@@ -553,6 +665,7 @@ class Database:
             self.history.labels = candidate.labels
         else:
             self.history.advance(after, label)
+        self._holding = holding
         if (
             self._planner is not None
             and before.relations.keys() != after.relations.keys()

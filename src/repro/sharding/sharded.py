@@ -380,6 +380,10 @@ class ShardedDatabase:
         for store in stores:
             store.advance_fence()
         recoveries = [store.recover() for store in stores]
+        for store, recovery in zip(stores, recoveries):
+            if not recovery.clean:
+                # Resolution appends OUTCOMEs: never after a bad tail.
+                store.truncate(recovery.seq)
 
         applied = applied_outcomes(
             record for recovery in recoveries for record in recovery.replayed

@@ -511,13 +511,19 @@ def test_a_residual_runs_the_head_in_full_only_when_its_relations_changed(
     domain.install_constraints("dept-deletion-precondition")
     db = Database(domain.schema, window=2, initial=sample_state)
     planner = db.enable_planner(verify=True)
-    db.execute(domain.create_project, "apollo", 25)  # nothing held yet
+
+    def commit(program, *args):
+        # A bare post-state: no proof that the program preserves the
+        # constraint skips the check this test watches.
+        db.apply(program.run(db.current, *args, interpreter=db.interpreter))
+
+    commit(domain.create_project, "apollo", 25)  # nothing held yet
     assert delta(planner, "window") == (0, 1)
-    db.execute(domain.create_project, "gemini", 10)
+    commit(domain.create_project, "gemini", 10)
     assert delta(planner, "window") == (1, 1)
-    db.execute(domain.hire, "erin", "cs", 90, 25, "S")
+    commit(domain.hire, "erin", "cs", 90, 25, "S")
     assert delta(planner, "window") == (1, 2)
-    db.execute(domain.create_project, "mercury", 5)
+    commit(domain.create_project, "mercury", 5)
     assert delta(planner, "window") == (2, 2)
     assert planner.mismatch_count == 0
     for mode in ("seeded", "full"):

@@ -123,6 +123,35 @@ class TestSingleNode:
         assert len(alive(states)) <= WINDOW
 
 
+    def test_a_proved_constraint_keeps_no_state_past_the_window(
+        self, schema, programs
+    ):
+        """A constraint proved preserved by the only program run is checked
+        at the first commit and skipped at every later one; the window plan
+        that checked it holds its last window weakly, so no state outlives
+        the history window."""
+        from repro.constraints.model import Constraint
+
+        s, t, x = b.state_var("s"), b.trans_var("t"), b.ftup_var("x", 2)
+        b_rows_stay = Constraint(
+            "b-rows-stay",
+            b.forall([s, t, x], b.implies(
+                b.holds(s, b.member(x, b.rel("B", 2))),
+                b.holds(b.after(s, t), b.member(x, b.rel("B", 2))),
+            )),
+            declared_window=2,
+        )
+        schema.add_constraint(b_rows_stay)
+        db = Database(schema, window=WINDOW)
+        states = []
+        for i in range(COMMITS):
+            states.append(weakref.ref(db.execute(programs["put_a"], i, i)))
+        assert db.interpreter.planner.exec_count > 0  # the first commit planned
+        (skip,) = db.last_record.skipped
+        assert skip.constraint is b_rows_stay and not db.last_record.results
+        assert len(alive(states)) <= WINDOW
+
+
 class TestShards:
     def test_each_shard_keeps_only_its_window_and_newest_record(
         self, schema, programs, tracked

@@ -331,6 +331,31 @@ class TestShardJournal:
         zombie.db.store.close()
         sdb2.close()
 
+    def test_recover_cuts_a_torn_shard_tail_before_appending(self, tmp_path):
+        """A shard whose journal tail is torn is cut back to its recovered
+        prefix before recovery or new work appends to it."""
+        sdb = fresh_db(tmp_path)
+        for i in range(4):
+            sdb.execute(put_user, i, i)
+        path = sdb.shards[0].db.store.journal_path
+        sdb.close()
+        os.truncate(path, os.path.getsize(path) - 7)
+        sdb2, report = ShardedDatabase.recover(
+            two_stripe_schema(), str(tmp_path),
+            placement={"USERS": 0, "EVENTS": 1}, sync=SYNC,
+        )
+        assert not report.shards[0].clean
+        for i in range(3):
+            sdb2.execute(put_user, 10 + i, i)
+        assert sdb2.query(n_users) == 6
+        sdb2.close()
+        sdb3, report = ShardedDatabase.recover(
+            two_stripe_schema(), str(tmp_path),
+            placement={"USERS": 0, "EVENTS": 1}, sync=SYNC,
+        )
+        assert report.shards[0].clean and sdb3.query(n_users) == 6
+        sdb3.close()
+
     def test_single_shard_commit_appends_one_commit_record(self, tmp_path):
         sdb = fresh_db(tmp_path)
         sdb.execute(signup, 1, 1)

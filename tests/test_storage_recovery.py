@@ -306,6 +306,33 @@ class TestAttachResume:
         assert resumed.seq == 6
         assert exact(resumed.state, db2.current)
 
+    def test_a_resumed_writer_cuts_a_torn_tail_before_appending(self, tmp_path):
+        """A writer resumed over a torn journal tail cuts it first: every
+        commit acknowledged after the resume survives the next recovery.
+        A plain ``recover`` reads only."""
+        schema = put_schema()
+        programs = put_programs()
+        db = Database(schema, window=2)
+        db.durable(tmp_path / "store", checkpoint_every=100, sync=SYNC)
+        for i in range(5):
+            db.execute(programs[i % 2], f"k{i}", i)
+        db.close()
+        journal = tmp_path / "store" / JOURNAL_NAME
+        os.truncate(journal, os.path.getsize(journal) - 7)
+        torn = os.path.getsize(journal)
+        assert not Store(tmp_path / "store").recover().clean
+        assert os.path.getsize(journal) == torn
+        db2, recovery = Database.from_store(
+            schema, tmp_path / "store", window=2, checkpoint_every=100, sync=SYNC
+        )
+        assert recovery.seq == 4 and not recovery.clean
+        for i in range(3):
+            db2.execute(programs[0], f"late{i}", i)
+        db2.close()
+        resumed = Store(tmp_path / "store").recover()
+        assert resumed.clean and resumed.seq == 7
+        assert exact(resumed.state, db2.current)
+
     def test_durable_rejects_mismatched_store(self, tmp_path):
         schema = put_schema()
         programs = put_programs()

@@ -30,12 +30,21 @@ planned / fallback evaluation counts of its one planner; a shard whose
 interpreter is not the router's, no planned check or a fallback exits
 non-zero too.
 
-A last section runs a seeded ``transfer`` / ``cancel-project`` /
+A fifth section runs a seeded ``transfer`` / ``cancel-project`` /
 ``set-salary`` stream over a 2-shard employee database with no
 constraint installed, so every planner evaluation is a transaction
 body's, and prints them as planned or fallback with the reasons the
 planner refused; no planned body, or a refusal other than the known
 ``cancel-project`` guard (``member(⟨e-name(e)⟩, E)``), exits non-zero.
+
+A last section prints the proved pairs: for each shipped domain, the
+verifier's verdict and proof kind for each (constraint, write program)
+pair — what a ``Database`` proves at a program's first commit and then
+skips — marked ``checked`` where the constraint's window (3 or more
+states) rules the skip out.  ``dept-deletion-precondition`` must be PROVED
+for all nine write programs of the ledger's ``emp_*`` workloads (the
+domain's six they run plus ``onboard``, ``drop-skill`` and
+``reallocate``); anything less exits non-zero.
 
 Run:  PYTHONPATH=src python tools/plan_report.py
 """
@@ -44,8 +53,10 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
 from repro.algebra.planner import QueryPlanner
+from repro.constraints.checkability import analyze
 from repro.constraints.model import Constraint
 from repro.constraints.semantics import PartialModel
 from repro.db.generators import employee_state
@@ -57,7 +68,12 @@ from repro.errors import PlanError
 from repro.logic import builder as b
 from repro.logic.formulas import Forall
 from repro.sharding import ShardedDatabase
-from repro.transactions.program import transaction
+from repro.transactions.program import DatabaseProgram, transaction
+from repro.verification.verifier import Verdict, Verifier
+
+# The ledger's employee programs live beside src/, in benchmarks/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from benchmarks.ledger.workloads import _emp_programs  # noqa: E402
 
 MUST_PLAN = frozenset({
     "every-employee-allocated", "alloc-references-project",
@@ -203,6 +219,54 @@ def sharded_bodies() -> bool:
     return planner.exec_count > 0 and refused <= KNOWN_BODY_REFUSALS
 
 
+def write_programs(domain) -> list[DatabaseProgram]:
+    """The domain's transactions, in definition order."""
+    return [
+        p for p in vars(domain).values()
+        if isinstance(p, DatabaseProgram) and p.is_transaction
+    ]
+
+
+def proved_pairs() -> bool:
+    """Verdict and proof kind per (constraint, write program) pair; True
+    when ``dept-deletion-precondition`` is PROVED for each of the ledger's
+    nine employee write programs."""
+    employee, banking = make_domain(), make_banking_domain()
+    ledger = [p for p in _emp_programs(employee) if p.is_transaction]
+    own = write_programs(employee)
+    names = {p.name for p in own}
+    domains = (
+        ("employee", [c for c in employee.all_constraints if c.name in MUST_PLAN],
+         own + [p for p in ledger if p.name not in names]),
+        ("banking", banking.constraints(), write_programs(banking)),
+    )
+    print("\nproved pairs: what a commit of each program skips by proof")
+    verdicts = {}
+    for name, constraints, programs in domains:
+        proved = 0
+        for constraint in constraints:
+            window = analyze(constraint).window
+            for program in programs:
+                result = Verifier().verify(constraint, program)
+                verdicts[constraint.name, program.name] = result.verdict
+                line = result.verdict.value
+                if result.verdict is Verdict.PROVED:
+                    line += f" ({result.detail})"
+                    if window in (1, 2):
+                        proved += 1
+                    else:
+                        line += f"; checked: window {window}"
+                print(f"{name}: {constraint.name:34} {program.name:16} {line}")
+        print(f"{name}: {proved} pairs skipped by proof")
+    missing = [
+        p.name for p in ledger
+        if verdicts.get(("dept-deletion-precondition", p.name)) is not Verdict.PROVED
+    ]
+    if missing:
+        print("dept-deletion-precondition not PROVED for: " + ", ".join(missing))
+    return len(ledger) == 9 and not missing
+
+
 def main() -> int:
     employee, banking = make_domain(), make_banking_domain()
     planner = QueryPlanner()
@@ -239,7 +303,11 @@ def main() -> int:
     bodies_plan = sharded_bodies()
     if not bodies_plan:
         print("sharded bodies did not plan, or met a new refusal", file=sys.stderr)
-    failed = refused or not (default_plans and shards_plan and bodies_plan)
+    proofs = proved_pairs()
+    if not proofs:
+        print("a write program of the emp_* workloads lost its proof of "
+              "dept-deletion-precondition", file=sys.stderr)
+    failed = refused or not (default_plans and shards_plan and bodies_plan and proofs)
     return 1 if failed else 0
 
 
